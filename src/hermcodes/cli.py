@@ -97,18 +97,13 @@ def cmd_stats(args) -> int:
     code = _load_code(args.code)
     dist = scheme.analyze(code, budget=args.budget, threads=args.threads)
     d = code.declared_d if code.declared_d is not None else dist.min_distance
-    strength = 0
-    for k in range(1, code.n + 1):
-        if dist.dual[k]:
-            break
-        strength = k
     payload = {
         "size": str(code.size),
         "min_distance": dist.min_distance,
         "inner": [str(v) for v in dist.inner],
         "dual_inner": [str(v) for v in dist.dual],
-        "design_strength": strength,
-        "bound_saturated": code.size == code.tower.q ** (code.n * (code.n - d + 1)),
+        "design_strength": scheme.dual_strength(dist.dual),
+        "bound_saturated": code.size == scheme.max_code_size(code.tower.q, code.n, d),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -168,93 +163,116 @@ def _fp_dict(fp) -> dict:
     }
 
 
-CHECKS = ("bound", "mindist", "theorem3", "dual", "designs", "kernel", "idealisers")
+# -- checks ----------------------------------------------------------------------
+#
+# Each check takes the code, its minimum distance d (declared, else
+# enumerated) and the budget, and returns (verdict, witness).  The
+# distributions come from the per-code memo in `scheme`, so a battery
+# enumerates the code and its dual at most once each.
+
+
+def _maximum_design(code: HermCode, d: int, budget: int) -> bool:
+    """C is a maximum d-code and an (n-d)-design.  The dual is computed even
+    when C is not maximum, so a budget too small for it is always reported."""
+    strength = scheme.design_strength(code, budget)
+    return (code.size == scheme.max_code_size(code.tower.q, code.n, d)
+            and strength >= code.n - d)
+
+
+def _check_bound(code: HermCode, d: int, budget: int):
+    bound = scheme.max_code_size(code.tower.q, code.n, d)
+    if code.size != bound:
+        return "fail", {"size": code.size, "bound": bound}
+    return "pass", None
+
+
+def _check_mindist(code: HermCode, d: int, budget: int):
+    mindist = scheme.min_rank(scheme.cached_inner(code))
+    if code.declared_d is None or mindist == code.declared_d:
+        return "pass", None
+    offender = next(f for f in code.iter_span() if not f.is_zero() and f.rank() == mindist)
+    return "fail", {"declared_d": code.declared_d, "min_rank": mindist,
+                    "codeword": [list(code.tower.digits(c)) for c in offender.coeffs]}
+
+
+def _check_theorem3(code: HermCode, d: int, budget: int):
+    if not (_maximum_design(code, d, budget) and d >= 1):
+        return "inconclusive", {"reason": "code is not a maximum (n-d)-design instance"}
+    inner = scheme.cached_inner(code)
+    predicted = scheme.theorem_distribution(code.n, d, code.tower.q, code.size)
+    if inner != predicted:
+        return "fail", {"enumerated": list(inner), "predicted": list(predicted)}
+    return "pass", None
+
+
+def _check_dual(code: HermCode, d: int, budget: int):
+    d1 = scheme.cached_dual(code, budget)
+    d2 = scheme.dual_inner_distribution(code, "eigenvalues", budget=budget,
+                                        inner=scheme.cached_inner(code))
+    if d1 != d2:
+        return "fail", {"dual_code_method": list(d1), "eigenvalue_method": list(d2)}
+    return "pass", None
+
+
+def _check_designs(code: HermCode, d: int, budget: int):
+    n = code.n
+    strength = scheme.design_strength(code, budget)
+    ext = scheme.design_by_extension_count(code, 1, budget=budget)
+    if code.declared_d is not None and code.declared_d % 2 == 1 \
+            and code.size == scheme.max_code_size(code.tower.q, n, d) \
+            and strength < n - d + 1:
+        return "fail", {"strength": strength, "required_at_least": n - d + 1}
+    verdict = "pass" if ext.uniform == (strength >= 1) else "fail"
+    return verdict, {"strength": strength, "extension_uniform": ext.uniform}
+
+
+def _check_kernel(code: HermCode, d: int, budget: int):
+    hypotheses = _maximum_design(code, d, budget) and d < code.n
+    sol = equivalence.kernel_K(code)
+    scalars = sol.meta["contains_q2_scalars"]
+    ok = scalars and (not hypotheses
+                      or (sol.order == code.tower.q ** 2 and sol.structure == "field"))
+    witness = {"order": sol.order, "structure": sol.structure, "contains_q2_scalars": scalars}
+    return ("pass" if ok else "fail"), witness
+
+
+def _check_idealisers(code: HermCode, d: int, budget: int):
+    q = code.tower.q
+    hypotheses = _maximum_design(code, d, budget) and d < code.n
+    left = equivalence.left_idealiser(code)
+    right = equivalence.right_idealiser(code)
+    scalar_fq = (left.order == q and right.order == q
+                 and left.meta["is_scalar_fq"] and right.meta["is_scalar_fq"])
+    witness = {"left_order": left.order, "right_order": right.order,
+               "left_scalar_fq": left.meta["is_scalar_fq"],
+               "right_scalar_fq": right.meta["is_scalar_fq"]}
+    return ("fail" if hypotheses and not scalar_fq else "pass"), witness
+
+
+CHECKS = {
+    "bound": _check_bound,
+    "mindist": _check_mindist,
+    "theorem3": _check_theorem3,
+    "dual": _check_dual,
+    "designs": _check_designs,
+    "kernel": _check_kernel,
+    "idealisers": _check_idealisers,
+}
 
 
 def _run_check(name: str, code: HermCode, budget: int) -> Report:
-    t = code.tower
-    q, n = t.q, code.n
+    check = CHECKS.get(name)
+    if check is None:
+        raise ValueError(f"unknown check {name!r}")
     start = time.perf_counter()
-    params = {"code": code.label, "q": q, "n": n, "d": code.declared_d}
-    verdict = "pass"
-    witness = None
+    params = {"code": code.label, "q": code.tower.q, "n": code.n, "d": code.declared_d}
     try:
-        inner = scheme.inner_distribution(code)
-        mindist = next((i for i, a in enumerate(inner) if i and a), 0)
-        d = code.declared_d if code.declared_d is not None else mindist
-        if name == "bound":
-            expected = q ** (n * (n - d + 1))
-            if code.size != expected:
-                verdict = "fail"
-                witness = {"size": code.size, "bound": expected}
-        elif name == "mindist":
-            if code.declared_d is not None and mindist != code.declared_d:
-                verdict = "fail"
-                offender = next(f for f in code.iter_span()
-                                if not f.is_zero() and f.rank() == mindist)
-                witness = {"declared_d": code.declared_d, "min_rank": mindist,
-                           "codeword": [list(t.digits(c)) for c in offender.coeffs]}
-        elif name == "theorem3":
-            dual = scheme.dual_inner_distribution(code, "dual-code", budget=budget)
-            is_design = all(dual[k] == 0 for k in range(1, n - d + 1))
-            maximum = code.size == q ** (n * (n - d + 1))
-            if maximum and is_design and d >= 1:
-                predicted = scheme.theorem_distribution(n, d, q, code.size)
-                if tuple(inner) != predicted:
-                    verdict = "fail"
-                    witness = {"enumerated": list(inner), "predicted": list(predicted)}
-            else:
-                verdict = "inconclusive"
-                witness = {"reason": "code is not a maximum (n-d)-design instance"}
-        elif name == "dual":
-            d1 = scheme.dual_inner_distribution(code, "dual-code", budget=budget)
-            d2 = scheme.dual_inner_distribution(code, "eigenvalues", budget=budget)
-            if d1 != d2:
-                verdict = "fail"
-                witness = {"dual_code_method": list(d1), "eigenvalue_method": list(d2)}
-        elif name == "designs":
-            strength = scheme.design_strength(code, budget=budget)
-            ext = scheme.design_by_extension_count(code, 1, budget=budget)
-            if ext.uniform != (strength >= 1):
-                verdict = "fail"
-                witness = {"strength": strength, "extension_uniform": ext.uniform}
-            else:
-                witness = {"strength": strength, "extension_uniform": ext.uniform}
-            if code.declared_d is not None and code.declared_d % 2 == 1 \
-                    and code.size == q ** (n * (n - d + 1)) \
-                    and strength < n - d + 1:
-                verdict = "fail"
-                witness = {"strength": strength, "required_at_least": n - d + 1}
-        elif name == "kernel":
-            sol = equivalence.kernel_K(code)
-            ok = sol.meta["contains_q2_scalars"]
-            dual = scheme.dual_inner_distribution(code, "dual-code", budget=budget)
-            hypotheses = (code.size == q ** (n * (n - d + 1)) and d < n
-                          and all(dual[k] == 0 for k in range(1, n - d + 1)))
-            if hypotheses:
-                ok = ok and sol.order == q ** 2 and sol.structure == "field"
-            witness = {"order": sol.order, "structure": sol.structure,
-                       "contains_q2_scalars": sol.meta["contains_q2_scalars"]}
-            if not ok:
-                verdict = "fail"
-        elif name == "idealisers":
-            left = equivalence.left_idealiser(code)
-            right = equivalence.right_idealiser(code)
-            dual = scheme.dual_inner_distribution(code, "dual-code", budget=budget)
-            hypotheses = (code.size == q ** (n * (n - d + 1)) and d < n
-                          and all(dual[k] == 0 for k in range(1, n - d + 1)))
-            witness = {"left_order": left.order, "right_order": right.order,
-                       "left_scalar_fq": left.meta["is_scalar_fq"],
-                       "right_scalar_fq": right.meta["is_scalar_fq"]}
-            if hypotheses and not (left.order == q and right.order == q
-                                   and left.meta["is_scalar_fq"]
-                                   and right.meta["is_scalar_fq"]):
-                verdict = "fail"
-        else:
-            raise ValueError(f"unknown check {name!r}")
+        d = code.declared_d
+        if d is None:
+            d = scheme.min_rank(scheme.cached_inner(code))
+        verdict, witness = check(code, d, budget)
     except BudgetExceededError as ex:
-        verdict = "inconclusive"
-        witness = {"reason": str(ex)}
+        verdict, witness = "inconclusive", {"reason": str(ex)}
     return Report(check=name, params=params, verdict=verdict, witness=witness,
                   wall_time_ms=(time.perf_counter() - start) * 1000.0)
 

@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gf import FieldTower
 from .hermitian import HermCode, HermMatrix, poly_from_gram, poly_vector
-from .linalg import FpSpan, nullspace_mod_p, rank_mod_p
+from .linalg import FpSpan, nullspace_mod_p, rank_mod_p, span_walk
 from .linpoly import LinPoly
-from .scheme import DEFAULT_BUDGET, dual_inner_distribution, inner_distribution
+from .scheme import DEFAULT_BUDGET, analyze, dual_strength
 
 
 # -- F_p matrices of additive maps ----------------------------------------------
@@ -248,18 +248,9 @@ def _idealiser(code: HermCode, side: str,
     # composition closure and invertibility on the polynomial side
     closed = all(span.contains(poly_vector(a.compose(b))) for a in polys for b in polys)
     certified = order <= exhaustive_limit
-    singular = False
-    if certified and dim:
-        for coeffs in itertools.product(range(p), repeat=dim):
-            if not any(coeffs):
-                continue
-            f = LinPoly.zero(t)
-            for c, b in zip(coeffs, polys):
-                if c:
-                    f = f + b.scale(c)
-            if f.rank() < n:
-                singular = True
-                break
+    singular = certified and any(
+        any(cur) and LinPoly(t, cur).rank() < n
+        for cur in span_walk(t, [f.coeffs for f in polys], [0] * n))
     structure = "field" if (closed and not singular) else "non-field"
 
     scalar_span = FpSpan(n * m, p)
@@ -362,19 +353,13 @@ class Fingerprint:
 
 
 def invariant_fingerprint(code: HermCode, budget: int = DEFAULT_BUDGET) -> Fingerprint:
-    inner = inner_distribution(code)
-    dual = dual_inner_distribution(code, "dual-code", budget=budget)
-    strength = 0
-    for k in range(1, code.n + 1):
-        if dual[k]:
-            break
-        strength = k
+    dist = analyze(code, budget=budget)
     return Fingerprint(
         label=code.label,
         size=code.size,
-        inner=inner,
-        dual_inner=dual,
-        design_strength=strength,
+        inner=dist.inner,
+        dual_inner=dist.dual,
+        design_strength=dual_strength(dist.dual),
         kernel_order=kernel_K(code).order,
         left_idealiser_order=left_idealiser(code).order,
         right_idealiser_order=right_idealiser(code).order,

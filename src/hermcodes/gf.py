@@ -14,8 +14,11 @@ polynomial whose root x is a primitive element wins.  Identical (p, e, n)
 inputs therefore always produce identical towers, and the canonical
 generator is always the residue class of x.
 
-FieldTower instances are immutable after construction and safe to share
-across threads; every operation is a pure function of its inputs.
+Towers are interned per process: `make_tower` returns the same FieldTower
+object for the same (p, e, n, modulus), so every code on that tower shares
+its `cache` of derived tables (bases, eigenvalue tables).  Apart from that
+cache, a tower never changes after construction, and every operation is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class FieldTower:
         self.order = p ** self.m
         self.modulus = modulus
         self._pw = [p ** i for i in range(self.m)]
-        self.cache: dict = {}  # memo slot for derived per-tower tables
+        self.cache: dict = {}  # derived per-tower tables, shared via interning
 
         if self.order <= _TABLE_LIMIT:
             self._build_tables(generator_poly)
@@ -432,12 +435,19 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no primitive irreducible of degree {m} over F_{p}")
 
 
+# interned towers, keyed by (p, e, n, modulus); modulus None is the default
+_TOWERS: dict = {}
+
+
 def make_tower(p: int, e: int, n: int, modulus: Sequence[int] | None = None) -> FieldTower:
-    """Build the tower context for F_p < F_q < F_{q^2} < F_{q^n} < F_{q^2n}.
+    """The tower context for F_p < F_q < F_{q^2} < F_{q^n} < F_{q^2n}.
 
     When `modulus` is omitted a deterministic default is selected (see module
     docstring).  A supplied modulus must be monic of degree 2ne, irreducible
     over F_p, and given little-endian with the constant term first.
+
+    Towers are interned per process: equal arguments (the modulus reduced
+    mod p) return the very same object, whose `cache` all callers share.
     """
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -447,17 +457,23 @@ def make_tower(p: int, e: int, n: int, modulus: Sequence[int] | None = None) -> 
     if p ** m > _ORDER_LIMIT:
         raise ValueError(f"field order p^{m} exceeds the supported 2^32 ceiling")
 
+    key = (p, e, n, None if modulus is None else tuple(int(c) % p for c in modulus))
+    if key in _TOWERS:
+        return _TOWERS[key]
     if modulus is None:
+        # x is primitive for the default modulus and is the least primitive
+        # element by code, so the explicit-modulus route picks it too
         mod = _default_modulus(p, m)
-        gen_poly: tuple[int, ...] = (0, 1)
+        tower = _TOWERS.get((p, e, n, mod)) or FieldTower(p, e, n, mod, (0, 1))
     else:
-        mod = tuple(int(c) % p for c in modulus)
+        mod = key[3]
         if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {m}")
         if not _is_irreducible(mod, p):
             raise ValueError("supplied modulus is reducible over F_p")
-        gen_poly = _find_primitive(mod, p, m)
-    return FieldTower(p, e, n, mod, gen_poly)
+        tower = FieldTower(p, e, n, mod, _find_primitive(mod, p, m))
+    _TOWERS[key] = _TOWERS[(p, e, n, mod)] = tower
+    return tower
 
 
 def _find_primitive(mod: tuple[int, ...], p: int, m: int) -> tuple[int, ...]:

@@ -15,11 +15,11 @@ basis; spans are only ever materialized lazily.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .gf import FieldTower
-from .linalg import FpSpan, nullspace_mod_p, rank_subfield_matrix, solve_mod_p
+from .linalg import (FpSpan, nullspace_mod_p, rank_subfield_matrix, solve_mod_p,
+                     span_walk)
 from .linpoly import LinPoly
 
 
@@ -231,6 +231,7 @@ class HermCode:
         self.declared_d = declared_d
         self.model = model
         self.matrix_generators = tuple(matrix_generators) if matrix_generators else None
+        self.cache: dict = {}  # derived per-code results, like FieldTower.cache
 
     @property
     def dim(self) -> int:
@@ -250,26 +251,7 @@ class HermCode:
     def iter_span(self) -> Iterable[LinPoly]:
         """All codewords, by odometer over F_p generator coordinates."""
         t = self.tower
-        p = t.p
-        k = self.dim
-        cur = [0] * t.n
-        yield LinPoly(t, cur)
-        if k == 0:
-            return
-        digits = [0] * k
-        gcoeffs = [g.coeffs for g in self.generators]
-        for _ in range(p ** k - 1):
-            i = 0
-            while digits[i] == p - 1:
-                digits[i] = 0
-                gc = gcoeffs[i]
-                for idx in range(t.n):
-                    cur[idx] = t.add(cur[idx], gc[idx])
-                i += 1
-            digits[i] += 1
-            gc = gcoeffs[i]
-            for idx in range(t.n):
-                cur[idx] = t.add(cur[idx], gc[idx])
+        for cur in span_walk(t, [g.coeffs for g in self.generators], [0] * t.n):
             yield LinPoly(t, cur)
 
     def elements(self) -> list[LinPoly]:
@@ -315,25 +297,10 @@ def dual_code(code: HermCode) -> HermCode:
 
 def matrix_span(tower: FieldTower, generators: Sequence[HermMatrix]) -> list[HermMatrix]:
     """Full additive span of matrix generators (desk scale only)."""
-    p = tower.p
     n = tower.n
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(generators)):
-        rows = [[0] * n for _ in range(n)]
-        for c, gmat in zip(coeffs, generators):
-            if c:
-                for j in range(n):
-                    for k in range(n):
-                        rows[j][k] = tower.add(rows[j][k], _int_scale(tower, c, gmat.rows[j][k]))
-        out.append(HermMatrix(tower, rows))
-    return out
-
-
-def _int_scale(tower: FieldTower, c: int, a: int) -> int:
-    acc = 0
-    for _ in range(c):
-        acc = tower.add(acc, a)
-    return acc
+    states = [g.entry_vector() for g in generators]
+    return [HermMatrix(tower, [state[r * n:(r + 1) * n] for r in range(n)])
+            for state in span_walk(tower, states, [0] * (n * n))]
 
 
 def matrix_code_rank_distribution(matrices: Iterable[HermMatrix]) -> tuple[int, ...]:

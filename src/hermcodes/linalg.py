@@ -123,6 +123,38 @@ class FpSpan:
         return self.pivots == other.pivots and self.rows == other.rows
 
 
+def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]],
+              start: Sequence[int]):
+    """Yield start + every F_p-combination of the generator state vectors,
+    one amortized vector add per step.
+
+    States are vectors of element codes added entrywise.  The order is an
+    odometer over the generator coordinates, the first generator's digit
+    turning fastest.  The yielded list is a reused buffer; consumers must
+    copy what they keep.
+    """
+    p = tower.p
+    add = tower.add
+    k = len(gen_states)
+    width = len(start)
+    cur = list(start)
+    yield cur
+    digits = [0] * k
+    for _ in range(p ** k - 1):
+        i = 0
+        while digits[i] == p - 1:
+            digits[i] = 0
+            gs = gen_states[i]
+            for idx in range(width):
+                cur[idx] = add(cur[idx], gs[idx])
+            i += 1
+        digits[i] += 1
+        gs = gen_states[i]
+        for idx in range(width):
+            cur[idx] = add(cur[idx], gs[idx])
+        yield cur
+
+
 def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
     """F_p-nullity of the square matrix whose columns are element codes.
 

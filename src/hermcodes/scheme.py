@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .gf import FieldTower, make_tower
-from .hermitian import HermCode, HermMatrix, form_matrix
-from .linalg import rank_subfield_matrix
+from .hermitian import HermCode, HermMatrix, dual_code, form_matrix
+from .linalg import nullity_of_code_columns, rank_subfield_matrix, span_walk
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -129,43 +129,12 @@ def pairing(a: HermMatrix, b: HermMatrix) -> CycloInt:
 # -- inner distributions ---------------------------------------------------------
 
 
-def _span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]],
-               start: Sequence[int] | None = None):
-    """Yield the F_p-span of the given state vectors, one amortized add per step.
-
-    The yielded list is a reused buffer; consumers must not keep references.
-    """
-    p = tower.p
-    add = tower.add
-    k = len(gen_states)
-    width = len(gen_states[0]) if k else (len(start) if start else 0)
-    cur = list(start) if start is not None else [0] * width
-    yield cur
-    if k == 0:
-        return
-    digits = [0] * k
-    for _ in range(p ** k - 1):
-        i = 0
-        while digits[i] == p - 1:
-            digits[i] = 0
-            gs = gen_states[i]
-            for idx in range(width):
-                cur[idx] = add(cur[idx], gs[idx])
-            i += 1
-        digits[i] += 1
-        gs = gen_states[i]
-        for idx in range(width):
-            cur[idx] = add(cur[idx], gs[idx])
-        yield cur
-
-
 def _rank_histogram(tower: FieldTower, gen_states: Sequence[Sequence[int]],
-                    start: Sequence[int] | None = None) -> list[int]:
-    from .linalg import nullity_of_code_columns
+                    start: Sequence[int]) -> list[int]:
     n = tower.n
     ee = 2 * tower.e
     hist = [0] * (n + 1)
-    for state in _span_walk(tower, gen_states, start):
+    for state in span_walk(tower, gen_states, start):
         nullity = nullity_of_code_columns(tower, state)
         hist[n - nullity // ee] += 1
     return hist
@@ -173,19 +142,9 @@ def _rank_histogram(tower: FieldTower, gen_states: Sequence[Sequence[int]],
 
 def _histogram_chunk(args) -> list[int]:
     tower_spec, gen_states, start = args
-    tower = _worker_tower((tower_spec["p"], tower_spec["e"], tower_spec["n"],
-                           tuple(tower_spec["modulus"])))
+    tower = make_tower(tower_spec["p"], tower_spec["e"], tower_spec["n"],
+                       tower_spec["modulus"])
     return _rank_histogram(tower, gen_states, start)
-
-
-_WORKER_TOWERS: dict = {}
-
-
-def _worker_tower(key) -> FieldTower:
-    if key not in _WORKER_TOWERS:
-        p, e, n, modulus = key
-        _WORKER_TOWERS[key] = make_tower(p, e, n, modulus)
-    return _WORKER_TOWERS[key]
 
 
 def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
@@ -194,8 +153,7 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     zero_state = [0] * t.m
     gen_states = [g.image_columns() for g in code.generators]
     if threads <= 1 or code.dim == 0:
-        hist = _rank_histogram(t, gen_states, start=zero_state)
-        return tuple(hist)
+        return tuple(_rank_histogram(t, gen_states, zero_state))
     # split on the most significant odometer digits; merged counts are
     # order-independent integer sums, so the result matches the serial path
     p = t.p
@@ -204,14 +162,7 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
         split += 1
     top, rest = gen_states[code.dim - split:], gen_states[:code.dim - split]
     spec = t.to_dict()
-    tasks = []
-    width = len(gen_states[0])
-    for combo in itertools.product(range(p), repeat=split):
-        start = [0] * width
-        for c, gs in zip(combo, top):
-            for _ in range(c):
-                start = [t.add(a, b) for a, b in zip(start, gs)]
-        tasks.append((spec, rest, start))
+    tasks = [(spec, rest, list(start)) for start in span_walk(t, top, zero_state)]
     hist = [0] * (t.n + 1)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         for part in pool.map(_histogram_chunk, tasks):
@@ -313,12 +264,12 @@ def eigenvalues(tower: FieldTower, n: Optional[int] = None,
     if n is not None and n != tower.n:
         raise ValueError(f"table is defined for the tower's n = {tower.n}")
     n = tower.n
-    key = "eigenvalues"
-    if key in tower.cache:
-        return tower.cache[key]
     total = tower.q ** (n * n)
     if total > budget:
         raise BudgetExceededError(f"{total} Hermitian matrices exceed budget {budget}")
+    key = "eigenvalues"
+    if key in tower.cache:
+        return tower.cache[key]
 
     p = tower.p
     reps: list[HermMatrix] = []
@@ -338,7 +289,6 @@ def eigenvalues(tower: FieldTower, n: Optional[int] = None,
     # both are additive, so the whole state rides the span odometer
     gen_states = []
     for vec in basis:
-        n2 = n * n
         mat = HermMatrix(tower, [vec[r * n:(r + 1) * n] for r in range(n)])
         gen_states.append(list(vec) + [conjugate_trace(mat, b) for b in all_reps])
 
@@ -347,7 +297,7 @@ def eigenvalues(tower: FieldTower, n: Optional[int] = None,
     tallies = [[[0] * p for _ in range(n + 1)] for _ in range(nreps)]
     rank_counts = [0] * (n + 1)
     n2 = n * n
-    for state in _span_walk(tower, gen_states):
+    for state in span_walk(tower, gen_states, [0] * (n2 + nreps)):
         rows = [state[r * n:(r + 1) * n] for r in range(n)]
         rk = rank_subfield_matrix(tower, rows)
         rank_counts[rk] += 1
@@ -380,26 +330,22 @@ def eigenvalues(tower: FieldTower, n: Optional[int] = None,
 
 def dual_inner_distribution(code: HermCode, method: str = "dual-code",
                             budget: int = DEFAULT_BUDGET,
-                            eig: Optional[Eigenvalues] = None) -> tuple[int, ...]:
+                            inner: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """A'_k, by dual-code enumeration or by the eigenvalue transform.
 
-    Both methods return exact integers and are asserted non-negative,
-    divisible by |C|, and normalized with A'_0 = |C|.
+    The eigenvalue route transforms `inner` when given, and otherwise
+    enumerates the code.  Both methods return exact integers and are
+    asserted non-negative, divisible by |C|, and normalized with A'_0 = |C|.
     """
-    from .hermitian import dual_code
-
     size = code.size
     if method == "dual-code":
         dual = dual_code(code)
         if dual.size > budget:
             raise BudgetExceededError(f"dual has {dual.size} words, budget {budget}")
-        hist = inner_distribution(dual)
-        out = tuple(size * h for h in hist)
+        out = tuple(size * h for h in inner_distribution(dual))
     elif method == "eigenvalues":
-        if eig is None:
-            eig = eigenvalues(code.tower, budget=budget)
-        inner = inner_distribution(code)
-        out = eig.transform(inner)
+        eig = eigenvalues(code.tower, budget=budget)
+        out = eig.transform(inner if inner is not None else inner_distribution(code))
     else:
         raise ValueError(f"unknown method {method!r}")
     if out[0] != size or any(v < 0 or v % size for v in out):
@@ -407,15 +353,49 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
     return out
 
 
-def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
+# -- per-code memo: each distribution is enumerated at most once per code object --
+
+
+def cached_inner(code: HermCode, threads: int = 1) -> tuple[int, ...]:
+    """inner_distribution(code), computed once and kept in code.cache."""
+    if "inner" not in code.cache:
+        inner = inner_distribution(code, threads=threads)
+        if inner[0] != 1 or sum(inner) != code.size:
+            raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
+        code.cache["inner"] = inner
+    return code.cache["inner"]
+
+
+def cached_dual(code: HermCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """dual_inner_distribution(code, "dual-code"), computed once and kept in
+    code.cache.  The budget is tested on every call, so a kept result is only
+    returned where computing it afresh would also have fit the budget."""
+    dual = code.cache.get("dual")
+    if dual is None:
+        dual = code.cache["dual"] = dual_inner_distribution(code, "dual-code", budget=budget)
+    elif sum(dual) // code.size > budget:
+        raise BudgetExceededError(f"dual has {sum(dual) // code.size} words, budget {budget}")
+    return dual
+
+
+def min_rank(inner: Sequence[int]) -> int:
+    """Least nonzero rank in an inner distribution (0 for the zero code)."""
+    return next((i for i, a in enumerate(inner) if i and a), 0)
+
+
+def dual_strength(dual: Sequence[int]) -> int:
     """Largest t with A'_1 = ... = A'_t = 0 (0 when A'_1 != 0)."""
-    dual = dual_inner_distribution(code, "dual-code", budget=budget)
-    t = 0
-    for k in range(1, code.n + 1):
-        if dual[k]:
-            break
-        t = k
-    return t
+    return next((k - 1 for k in range(1, len(dual)) if dual[k]), len(dual) - 1)
+
+
+def max_code_size(q: int, n: int, d: int) -> int:
+    """q^(n(n-d+1)), the size of a maximum additive code of minimum rank d."""
+    return q ** (n * (n - d + 1))
+
+
+def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Largest t such that the code is a t-design (see dual_strength)."""
+    return dual_strength(cached_dual(code, budget))
 
 
 @dataclass
@@ -426,15 +406,12 @@ class Distribution:
 
     @property
     def min_distance(self) -> int:
-        return next((i for i, a in enumerate(self.inner) if i and a), 0)
+        return min_rank(self.inner)
 
 
 def analyze(code: HermCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Distribution:
-    inner = inner_distribution(code, threads=threads)
-    if inner[0] != 1 or sum(inner) != code.size:
-        raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
-    dual = dual_inner_distribution(code, "dual-code", budget=budget)
-    return Distribution(inner=inner, dual=dual)
+    """Both distributions, each computed once per code object."""
+    return Distribution(inner=cached_inner(code, threads), dual=cached_dual(code, budget))
 
 
 # -- negative q-binomials and the closed-form distribution -------------------------

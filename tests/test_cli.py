@@ -1,6 +1,8 @@
 import json
 
-from hermcodes.cli import main
+from hermcodes import ConstructionParams, build, scheme
+from hermcodes.cli import CHECKS, _run_check, main
+from hermcodes.scheme import DEFAULT_BUDGET
 
 
 def run(args, capsys):
@@ -182,3 +184,55 @@ def test_threads_flag_does_not_change_output(tmp_path, capsys):
     _, out1 = run(["stats", "--code", path], capsys)
     _, out2 = run(["stats", "--code", path, "--threads", "3"], capsys)
     assert out1 == out2
+
+
+# -- the per-code memo ------------------------------------------------------------
+
+
+def test_check_battery_enumerates_code_and_dual_once(monkeypatch):
+    code = build(ConstructionParams(family="H", q=2, n=3, d=2, s=1))
+    seen = []
+    real = scheme.inner_distribution
+    monkeypatch.setattr(scheme, "inner_distribution",
+                        lambda c, threads=1: seen.append(c.label) or real(c, threads))
+    reports = [_run_check(name, code, DEFAULT_BUDGET) for name in CHECKS]
+    assert [r.check for r in reports] == list(CHECKS)
+    assert all(r.verdict == "pass" for r in reports)
+    assert seen == [code.label, code.label + "^perp"]
+
+
+def test_verify_small_budget_never_builds_the_dual(tmp_path, capsys, monkeypatch):
+    path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3",
+                     "--d", "2", "--s", "1")
+
+    def no_dual(code):
+        raise AssertionError("the dual code was built")
+
+    monkeypatch.setattr(scheme, "dual_code", no_dual)
+    rc, out = run(["verify", "--code", path, "--checks", "bound,mindist",
+                   "--budget", "1"], capsys)
+    assert rc == 0
+    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "pass"]
+
+
+def test_verify_budget_still_binds_after_the_memo_is_filled(tmp_path, capsys):
+    path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3",
+                     "--d", "2", "--s", "1")
+    rc, out = run(["verify", "--code", path, "--checks", "bound,dual",
+                   "--budget", "10"], capsys)
+    assert rc == 3
+    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "inconclusive"]
+
+
+def test_memo_hit_never_turns_inconclusive_into_pass():
+    params = ConstructionParams(family="H", q=2, n=3, d=2, s=1)
+    warm, fresh = build(params), build(params)
+    assert all(_run_check(name, warm, DEFAULT_BUDGET).verdict == "pass" for name in CHECKS)
+    assert {"inner", "dual"} <= set(warm.cache)
+    # the dual has 8 words: a budget of 5 must stop every check that needs it
+    verdicts = []
+    for name in CHECKS:
+        report = _run_check(name, warm, 5).to_json(False)
+        assert report == _run_check(name, fresh, 5).to_json(False)
+        verdicts.append(report["verdict"])
+    assert verdicts == ["pass", "pass"] + ["inconclusive"] * 5

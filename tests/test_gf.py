@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcodes import find_alpha, find_gamma, make_tower
+from hermcodes import find_alpha, find_gamma, gf, make_tower
 from hermcodes.gf import is_square
 
 
@@ -14,6 +14,19 @@ def test_default_towers_are_deterministic():
     assert a.modulus == b.modulus == (1, 1, 0, 0, 0, 0, 1)  # x^6 + x + 1
     assert a.generator == b.generator
     assert a == b
+
+
+def test_towers_are_interned(monkeypatch):
+    t = make_tower(3, 1, 3)
+    same = make_tower(3, 1, 3, modulus=t.modulus)
+    assert same is t and same.generator == t.generator
+    assert make_tower(3, 1, 3, modulus=[c + 3 for c in t.modulus]) is t
+    # explicit modulus first: the default call still finds the same object,
+    # and the least primitive element of the default modulus is x
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    explicit = make_tower(2, 1, 3, modulus=[1, 1, 0, 0, 0, 0, 1])
+    assert make_tower(2, 1, 3) is explicit
+    assert explicit.generator == 2  # the code of x
 
 
 def test_tower_orders(tower_q2, tower_q3, tower_q5):

@@ -11,7 +11,9 @@ from hermcodes import (CycloInt, HermCode, build_E, build_H, build_M,
                        dual_inner_distribution, eigenvalues, full_space,
                        gram_matrix, hermitian_basis, inner_distribution,
                        neg_q_binom, pairing, theorem_distribution)
-from hermcodes.scheme import (BudgetExceededError, full_rank_residue,
+from hermcodes import ConstructionParams, build, scheme
+from hermcodes.cli import _run_check
+from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, full_rank_residue,
                               pairwise_inner_distribution)
 from hermcodes.hermitian import matrix_span
 
@@ -161,6 +163,27 @@ def test_eigenvalue_budget_guard(tower_q3):
     with pytest.raises(BudgetExceededError):
         eigenvalues(tower_q3, budget=10)
     eigenvalues(tower_q3)  # repopulate the cache for later tests
+
+
+def test_eigenvalue_budget_applies_to_cached_table(tower_q3):
+    eigenvalues(tower_q3)
+    assert "eigenvalues" in tower_q3.cache
+    with pytest.raises(BudgetExceededError):
+        eigenvalues(tower_q3, budget=10)
+
+
+def test_builds_share_one_tower_and_eigenvalue_table(monkeypatch):
+    h = build(ConstructionParams(family="H", q=3, n=3, d=2, s=1))
+    m = build(ConstructionParams(family="M", q=3, n=3))
+    assert h.tower is m.tower
+    h.tower.cache.pop("eigenvalues", None)
+    tables = []
+    real = scheme._random_invertible  # runs once per computed table
+    monkeypatch.setattr(scheme, "_random_invertible",
+                        lambda t, rng: tables.append(t) or real(t, rng))
+    for code in (h, m):
+        assert _run_check("dual", code, DEFAULT_BUDGET).verdict == "pass"
+    assert len(tables) == 1
 
 
 # -- dual inner distribution and designs ---------------------------------------------
