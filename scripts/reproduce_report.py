@@ -11,7 +11,7 @@ import json
 import sys
 
 from hermcodes import ConstructionParams, build
-from hermcodes.cli import CHECKS, _run_check
+from hermcodes.cli import CHECKS, _run_check, parse_budget
 from hermcodes.scheme import DEFAULT_BUDGET
 
 INSTANCES = [
@@ -32,7 +32,7 @@ LIGHT_CHECKS = ("bound", "mindist", "theorem3", "kernel", "idealisers")
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
     ap.add_argument("--timings", action="store_true")
     args = ap.parse_args(argv)
 

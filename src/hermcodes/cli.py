@@ -298,6 +298,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+parse_budget = _int_at_least(0)
+parse_threads = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hermcodes",
@@ -306,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
                        help="enumeration budget (elements scanned per analysis)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=parse_threads, default=1,
                        help="worker processes for rank tallies; output is identical for any value")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte-stability)")

@@ -14,6 +14,13 @@ polynomial whose root x is a primitive element wins.  Identical (p, e, n)
 inputs therefore always produce identical towers, and the canonical
 generator is always the residue class of x.
 
+Fields of order up to 2^20 get exp, log and digits tables, so `mul` is two
+lookups.  The exp table walks the powers of the generator.  When the
+generator is x, which holds for every default modulus and for any supplied
+modulus whose root x is primitive, each step is a shift-and-reduce on the
+integer code (XOR for p = 2, two table lookups for odd p).  Otherwise each
+step is a generic polynomial multiplication.
+
 Towers are interned per process: `make_tower` returns the same FieldTower
 object for the same (p, e, n, modulus), so every code on that tower shares
 its `cache` of derived tables (bases, eigenvalue tables).  Apart from that
@@ -212,32 +219,80 @@ class FieldTower:
     def _build_tables(self, generator_poly: tuple[int, ...]) -> None:
         p, m, order = self.p, self.m, self.order
         size = order - 1
-        exp = [0] * (2 * size)
-        log = [0] * order
-        # walk powers of the generator by shift-and-reduce when g is x,
-        # otherwise by generic polynomial multiplication
-        cur = (1,)
-        gen = generator_poly
-        for i in range(size):
-            code = self._encode_poly(cur)
-            exp[i] = code
-            exp[i + size] = code
-            log[code] = i
-            cur = _pmulmod(cur, gen, self.modulus, p)
-        if _ptrim(cur) != (1,):
+        # base-p digit tuples of the codes below p^h, h = ceil(m/2); the
+        # walk's addition tables and the full digits table are built from them
+        h = (m + 1) // 2
+        half: list[tuple[int, ...]] = [()]
+        for _ in range(h):
+            half = [t + (d,) for d in range(p) for t in half]
+        # the powers of the generator, by shift-and-reduce on integer codes
+        # when it is x, else by generic polynomial multiplication
+        if generator_poly == (0, 1):
+            exp, last = self._walk_x(half, size)
+        else:
+            exp, last = self._walk_poly(generator_poly, size)
+        # g^size = 1 for every nonzero g; g has order size only if also
+        # g^(size/r) != 1 for each prime r dividing size
+        if last != 1 or any(exp[size // r] == 1 for r in _factorize(size)):
             raise AssertionError("generator order mismatch while building tables")
+        log = [0] * order
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp  # two periods, so mul indexes log a + log b directly
         self._exp = exp
         self._log = log
         self.generator = exp[1]
-        digits = [()] * order
-        for a in range(order):
-            out = []
-            v = a
-            for _ in range(m):
-                v, r = divmod(v, p)
-                out.append(r)
-            digits[a] = tuple(out)
-        self._digits = digits
+        high = [t[:m - h] for t in half[:p ** (m - h)]]
+        self._digits = [lo + hi for hi in high for lo in half]
+
+    def _walk_x(self, half: list[tuple[int, ...]], size: int) -> tuple[list[int], int]:
+        """Codes of x^0 .. x^(size-1) by shift-and-reduce, and the code of x^size.
+
+        Multiplying by x moves every digit up one place; the top digit c
+        leaves as c*x^m, which the modulus turns into -c*(modulus - x^m),
+        and that code is added digit-wise mod p.  For p = 2 the addition is
+        XOR.  For odd p, split cur = k*p^(h-1) + j: the new high half is a
+        function of k alone (its top digit is c) and the new low half of
+        j and c, so both come from tables built digit by digit, and no
+        digit sum ever carries.
+        """
+        p, m = self.p, self.m
+        low = self.modulus[:m]
+        exp = [0] * size
+        cur = 1
+        if p == 2:
+            top = 1 << (m - 1)
+            red = self._encode_poly(low)
+            for i in range(size):
+                exp[i] = cur
+                cur = ((cur ^ top) << 1) ^ red if cur >= top else cur << 1
+            return exp, cur
+        h = len(half[0])
+        tl, nk, pw = p ** (h - 1), p ** (m - h), self._pw
+        hi_add: list[int] = []
+        lo_add: list[list[int]] = []
+        for c in range(p):
+            red = [(-c * a) % p for a in low]
+            hi_add += [pw[h] * sum(((x + y) % p) * w for x, y, w in zip(t[:m - h], red[h:], pw))
+                       for t in half[:nk]]
+            lo_add += [[sum(((x + y) % p) * w for x, y, w in zip((0,) + t[:h - 1], red, pw))
+                        for t in half[:tl]]] * nk
+        for i in range(size):
+            exp[i] = cur
+            k, j = divmod(cur, tl)
+            cur = hi_add[k] + lo_add[k][j]
+        return exp, cur
+
+    def _walk_poly(self, generator_poly: tuple[int, ...], size: int) -> tuple[list[int], int]:
+        """Codes of g^0 .. g^(size-1) by generic polynomial multiplication,
+        and the code of g^size; the route for a supplied modulus whose root
+        x is not primitive."""
+        exp = [0] * size
+        cur: tuple[int, ...] = (1,)
+        for i in range(size):
+            exp[i] = self._encode_poly(cur)
+            cur = _pmulmod(cur, generator_poly, self.modulus, self.p)
+        return exp, self._encode_poly(cur)
 
     # -- ring operations ---------------------------------------------------
 
@@ -449,12 +504,16 @@ def make_tower(p: int, e: int, n: int, modulus: Sequence[int] | None = None) -> 
     Towers are interned per process: equal arguments (the modulus reduced
     mod p) return the very same object, whose `cache` all callers share.
     """
+    # the ceiling is tested before the trial division and the power,
+    # which a huge p or m would make slow
+    if p > _ORDER_LIMIT:
+        raise ValueError(f"field order exceeds the supported 2^32 ceiling (p = {p})")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1 or n < 1:
         raise ValueError("e and n must be positive")
     m = 2 * n * e
-    if p ** m > _ORDER_LIMIT:
+    if m > 32 or p ** m > _ORDER_LIMIT:
         raise ValueError(f"field order p^{m} exceeds the supported 2^32 ceiling")
 
     key = (p, e, n, None if modulus is None else tuple(int(c) % p for c in modulus))

@@ -366,25 +366,59 @@ def code_to_dict(code: HermCode) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _file_digits(v, p: int, length: int | None, field: str) -> list[int]:
+    """A digit vector from a code file: a list of integers in [0, p)."""
+    if not (isinstance(v, list) and (length is None or len(v) == length)
+            and all(_is_int(c) and 0 <= c < p for c in v)):
+        size = "" if length is None else f"{length} "
+        raise ValueError(f"code file field {field!r} must be a list of {size}digits in [0, {p})")
+    return v
+
+
 def code_from_dict(data: dict, tower: FieldTower | None = None) -> HermCode:
+    """The code a `code_to_dict` dictionary describes.
+
+    Raises ValueError, naming the field, when the dictionary does not follow
+    that schema or holds a digit outside [0, p).
+    """
     from .gf import make_tower  # local import to keep module load light
-    spec = data["tower"]
-    t = tower or make_tower(spec["p"], spec["e"], spec["n"], spec["modulus"])
+    if not isinstance(data, dict):
+        raise ValueError(f"code file must hold a JSON object, not {type(data).__name__}")
+    spec = data.get("tower")
+    if not isinstance(spec, dict):
+        raise ValueError("code file field 'tower' must be an object with keys p, e, n, modulus")
+    for key in ("p", "e", "n"):
+        if not _is_int(spec.get(key)):
+            raise ValueError(f"code file field 'tower.{key}' must be an integer")
+    modulus = _file_digits(spec.get("modulus"), spec["p"], None, "tower.modulus")
+    t = tower or make_tower(spec["p"], spec["e"], spec["n"], modulus)
     model = data.get("model", "poly")
     label = data.get("label", "")
     declared_d = data.get("declared_d")
-    if model == "matrix":
-        n = t.n
-        mats = []
-        for g in data["generators"]:
-            codes = [t.from_digits(v) for v in g]
-            if len(codes) != n * n:
-                raise ValueError("matrix generator must have n*n entries")
-            mats.append(HermMatrix(t, [codes[i * n:(i + 1) * n] for i in range(n)]))
-        return code_from_matrix_set(t, mats, label=label, declared_d=declared_d)
+    if model not in ("poly", "matrix"):
+        raise ValueError("code file field 'model' must be 'poly' or 'matrix'")
+    if not isinstance(label, str):
+        raise ValueError("code file field 'label' must be a string")
+    if declared_d is not None and not _is_int(declared_d):
+        raise ValueError("code file field 'declared_d' must be an integer or null")
+    gens_data = data.get("generators")
+    if not isinstance(gens_data, list):
+        raise ValueError("code file field 'generators' must be a list")
+    n = t.n
+    width = n * n if model == "matrix" else n
     gens = []
-    for g in data["generators"]:
-        if len(g) != t.n:
-            raise ValueError("polynomial generator must have n coefficients")
-        gens.append(LinPoly(t, (t.from_digits(v) for v in g)))
-    return HermCode(t, gens, label=label, declared_d=declared_d, model="poly")
+    for i, g in enumerate(gens_data):
+        if not (isinstance(g, list) and len(g) == width):
+            raise ValueError(f"code file field 'generators[{i}]' must be a list of {width} "
+                             f"field elements for the {model} model")
+        gens.append([t.from_digits(_file_digits(v, t.p, t.m, f"generators[{i}][{j}]"))
+                     for j, v in enumerate(g)])
+    if model == "matrix":
+        mats = [HermMatrix(t, [codes[i * n:(i + 1) * n] for i in range(n)]) for codes in gens]
+        return code_from_matrix_set(t, mats, label=label, declared_d=declared_d)
+    return HermCode(t, [LinPoly(t, codes) for codes in gens], label=label,
+                    declared_d=declared_d, model="poly")

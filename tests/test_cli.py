@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import hermcodes
 from hermcodes import ConstructionParams, build, scheme
 from hermcodes.cli import CHECKS, _run_check, main
 from hermcodes.scheme import DEFAULT_BUDGET
@@ -236,3 +243,87 @@ def test_memo_hit_never_turns_inconclusive_into_pass():
         assert report == _run_check(name, fresh, 5).to_json(False)
         verdicts.append(report["verdict"])
     assert verdicts == ["pass", "pass"] + ["inconclusive"] * 5
+
+
+# -- malformed input: exit 2 with a message, never a traceback -----------------
+
+
+_DROP = object()
+
+
+def _edit(*path, value=_DROP):
+    """A code-file mutation: set the item at `path` to `value`, or delete it."""
+    def mutate(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return data
+    return mutate
+
+
+MALFORMED_FILES = {
+    "top-level list": (lambda data: [data], "JSON object"),
+    "no tower": (_edit("tower"), "'tower'"),
+    "tower not an object": (_edit("tower", value=[2, 1, 3]), "'tower'"),
+    "no tower key e": (_edit("tower", "e"), "'tower.e'"),
+    "p as a string": (_edit("tower", "p", value="2"), "'tower.p'"),
+    "no modulus": (_edit("tower", "modulus"), "'tower.modulus'"),
+    "no generators": (_edit("generators"), "'generators'"),
+    "generators not a list": (_edit("generators", value=5), "'generators'"),
+    "generator of wrong width": (_edit("generators", 0, value=[[0] * 6]), "'generators[0]'"),
+    "declared_d as a string": (_edit("declared_d", value="2"), "'declared_d'"),
+    "unknown model": (_edit("model", value="graph"), "'model'"),
+    "label as a number": (_edit("label", value=7), "'label'"),
+    # towers past the 2^32 ceiling are refused before any slow arithmetic
+    "huge n": (_edit("tower", "n", value=10 ** 12), "ceiling"),
+    "huge prime p": (_edit("tower", "p", value=2 ** 61 - 1), "ceiling"),
+    # digits outside [0, p) at p = 2
+    "modulus digit 7": (_edit("tower", "modulus", 0, value=7), "'tower.modulus'"),
+    "generator digit 2": (_edit("generators", 1, 2, 0, value=2), "'generators[1][2]'"),
+    "generator digit -1": (_edit("generators", 0, 0, 5, value=-1), "'generators[0][0]'"),
+}
+
+
+def _assert_usage_error(rc, capsys, needle):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert needle in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_code_file_is_usage_error(tmp_path, capsys, case):
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    mutate, needle = MALFORMED_FILES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(open(path).read()))))
+    _assert_usage_error(main(["verify", "--code", str(bad), "--checks", "bound"]),
+                        capsys, needle)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "--checks", "bound", "--budget", "-5"], "--budget"),
+    (["stats", "--threads", "0"], "--threads"),
+    (["stats", "--threads", "two"], "--threads"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, needle):
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    _assert_usage_error(main([*argv, "--code", path]), capsys, needle)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    args = ["construct", "--family", "H", "--q", "2", "--n", "3", "--d", "2", "--s", "1"]
+    src = str(Path(hermcodes.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hermcodes", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -219,6 +219,68 @@ def test_digit_round_trip(tower_q5):
         assert t.from_digits(t.digits(a)) == a
 
 
+def _digits_of(a, p, m):
+    out = []
+    for _ in range(m):
+        a, r = divmod(a, p)
+        out.append(r)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("args, modulus, generator", [
+    ((2, 1, 3), None, 2),
+    ((3, 1, 3), None, 3),
+    ((5, 1, 3), None, 5),
+    ((2, 2, 3), None, 2),
+    ((2, 1, 3), [1, 0, 0, 0, 0, 1, 1], 2),      # x^6 + x^5 + 1: x primitive
+    ((3, 1, 1), [1, 0, 1], 4),                  # x^2 + 1: x has order 4 of 8
+    ((2, 1, 3), [1, 1, 1, 0, 1, 0, 1], 3),      # x has order 21 of 63
+])
+def test_tables_match_generic_walk(monkeypatch, args, modulus, generator):
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    t = make_tower(*args, modulus=modulus)
+    p, m, size = t.p, t.m, t.order - 1
+    # powers of the expected generator by plain polynomial multiplication
+    gen = gf._ptrim(_digits_of(generator, p, m))
+    exp, cur = [], (1,)
+    for _ in range(size):
+        exp.append(sum(c * p ** i for i, c in enumerate(cur)))
+        cur = gf._pmulmod(cur, gen, t.modulus, p)
+    assert cur == (1,) and len(set(exp)) == size
+    log = [0] * t.order
+    for i, a in enumerate(exp):
+        log[a] = i
+    assert t.generator == generator
+    assert t._exp == exp + exp
+    assert t._log == log
+    assert t._digits == [_digits_of(a, p, m) for a in range(t.order)]
+
+
+@pytest.mark.parametrize("p, modulus, generator", [
+    (3, (1, 0, 1), (0, 1)),                     # x of order 4 of 8
+    (2, (1, 1, 1, 0, 1, 0, 1), (0, 1)),         # x of order 21 of 63
+    (3, (1, 0, 1), (2,)),                       # -1, by the generic walk
+])
+def test_non_primitive_generator_is_refused(p, modulus, generator):
+    e, n = 1, (len(modulus) - 1) // 2
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        gf.FieldTower(p, e, n, modulus, generator)
+
+
+def test_q9_tower_tables(monkeypatch):
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    t = make_tower(3, 2, 3)
+    size = t.order - 1
+    assert t.generator == 3
+    assert all(t._log[t._exp[i]] == i for i in range(size))
+    assert t._exp[size:] == t._exp[:size]
+    rng = random.Random(11)
+    for _ in range(200):
+        a, b = rng.randrange(1, t.order), rng.randrange(1, t.order)
+        prod = gf._pmulmod(t.digits(a), t.digits(b), t.modulus, t.p)
+        assert t.mul(a, b) == t.from_digits(prod + (0,) * (t.m - len(prod)))
+
+
 def test_tower_serialization_round_trip(tower_q3):
     d = tower_q3.to_dict()
     t2 = make_tower(d["p"], d["e"], d["n"], d["modulus"])

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
@@ -27,3 +29,11 @@ def test_q2_report_matches_golden_outputs(tmp_path, monkeypatch):
             assert golden[name]["report"] == report, name
             seen.add(name)
     assert seen == {name for name, rec in golden.items() if rec["instance"]["q"] == 2}
+
+
+def test_negative_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as ex:
+        reproduce_report.main(["--budget", "-1"])
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and "Traceback" not in err
