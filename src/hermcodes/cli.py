@@ -217,7 +217,7 @@ def _check_dual(code: HermCode, d: int, budget: int):
 def _check_designs(code: HermCode, d: int, budget: int):
     n = code.n
     strength = scheme.design_strength(code, budget)
-    ext = scheme.design_by_extension_count(code, 1, budget=budget)
+    ext = scheme.design_by_extension_count(code, 1, budget=budget, method="span")
     if code.declared_d is not None and code.declared_d % 2 == 1 \
             and code.size == scheme.max_code_size(code.tower.q, n, d) \
             and strength < n - d + 1:

@@ -21,6 +21,7 @@ so matching invariants with differing supports must stay "inconclusive".
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -47,8 +48,8 @@ def fp_matrix_of_poly(f: LinPoly) -> list[list[int]]:
 
 
 def _matmul_p(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    m = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) % p for j in range(m)] for i in range(m)]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % p for col in cols] for row in a]
 
 
 def _scalar_matrix(tower: FieldTower, c: int) -> list[list[int]]:

@@ -21,6 +21,12 @@ modulus whose root x is primitive, each step is a shift-and-reduce on the
 integer code (XOR for p = 2, two table lookups for odd p).  Otherwise each
 step is a generic polynomial multiplication.
 
+Addition is XOR for p = 2.  For odd p it works on chunks of c base-p
+digits, through a table of the digit-wise sums of two chunks (P^2 entries
+for P = p^c, c the largest with P^2 <= 2^14, and at least 1), so no digit
+sum carries into the next chunk; at q = 3 and q = 5 (2ne = 6) a code is two
+chunks.
+
 Towers are interned per process: `make_tower` returns the same FieldTower
 object for the same (p, e, n, modulus), so every code on that tower shares
 its `cache` of derived tables (bases, eigenvalue tables).  Apart from that
@@ -36,6 +42,9 @@ from typing import Iterable, Sequence
 # (allowed up to 2**32) fall back to polynomial arithmetic per operation.
 _TABLE_LIMIT = 1 << 20
 _ORDER_LIMIT = 1 << 32
+# Odd-p addition works on chunks of base-p digits through a table indexed by
+# a pair of chunks; the table has at most this many entries.
+_CHUNK_LIMIT = 1 << 14
 
 
 def _is_prime(v: int) -> bool:
@@ -170,7 +179,8 @@ class FieldTower:
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "generator",
-                 "_exp", "_log", "_digits", "_frob_exp", "_pw", "cache")
+                 "_exp", "_log", "_digits", "_frob_exp", "_pw", "cache",
+                 "_chunk", "_chunks", "_add_t", "_neg_t")
 
     def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator_poly: tuple[int, ...]):
         self.p = p
@@ -182,6 +192,8 @@ class FieldTower:
         self.modulus = modulus
         self._pw = [p ** i for i in range(self.m)]
         self.cache: dict = {}  # derived per-tower tables, shared via interning
+        if p != 2:
+            self._build_chunk_tables()
 
         if self.order <= _TABLE_LIMIT:
             self._build_tables(generator_poly)
@@ -296,25 +308,70 @@ class FieldTower:
 
     # -- ring operations ---------------------------------------------------
 
+    def _build_chunk_tables(self) -> None:
+        """Digit-wise addition and negation tables for odd p, on chunks of
+        c base-p digits (codes below P = p^c): c is the largest value with
+        P^2 <= _CHUNK_LIMIT and c <= m, and at least 1."""
+        p = self.p
+        c = 1
+        while c < self.m and p ** (2 * c + 2) <= _CHUNK_LIMIT:
+            c += 1
+        self._chunk = P = p ** c
+        self._chunks = -(-self.m // c)
+        # grow both tables one digit at a time: x = p*x' + x0, y = p*y' + y0
+        add1 = [(i + j) % p for i in range(p) for j in range(p)]
+        add_t, neg_t, size = add1, [(-i) % p for i in range(p)], p
+        for _ in range(c - 1):
+            add_t = [add1[x0 * p + y0] + p * add_t[xs * size + ys]
+                     for xs in range(size) for x0 in range(p)
+                     for ys in range(size) for y0 in range(p)]
+            neg_t = [(-x0) % p + p * nx for nx in neg_t for x0 in range(p)]
+            size *= p
+        self._add_t = add_t
+        self._neg_t = neg_t
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        return sum(((x + y) % p) * w for x, y, w in zip(da, db, self._pw))
+        P, T = self._chunk, self._add_t
+        if self._chunks <= 2:
+            ah, al = divmod(a, P)
+            bh, bl = divmod(b, P)
+            return T[ah * P + bh] * P + T[al * P + bl]
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, P)
+            b, y = divmod(b, P)
+            out += T[x * P + y] * w
+            w *= P
+        return out
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        p = self.p
-        return sum(((-x) % p) * w for x, w in zip(self.digits(a), self._pw))
+        P, N = self._chunk, self._neg_t
+        out, w = 0, 1
+        while a:
+            a, x = divmod(a, P)
+            out += N[x] * w
+            w *= P
+        return out
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        return sum(((x - y) % p) * w for x, y, w in zip(da, db, self._pw))
+        P, T, N = self._chunk, self._add_t, self._neg_t
+        if self._chunks <= 2:
+            ah, al = divmod(a, P)
+            bh, bl = divmod(b, P)
+            return T[ah * P + N[bh]] * P + T[al * P + N[bl]]
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, P)
+            b, y = divmod(b, P)
+            out += T[x * P + N[y]] * w
+            w *= P
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -14,27 +14,26 @@ from .gf import FieldTower
 
 def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p. Returns (nonzero rows, pivot cols)."""
-    mat = [list(r) for r in rows]
+    mat = [[v % p for v in r] for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                sel = i
-                break
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c] % p, p - 2, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c] % p
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        # rows r.. are zero left of column c, so the pivot row is too and
+        # row operations only change columns c..
+        inv = pow(mat[r][c], p - 2, p)
+        tail = [(v * inv) % p for v in mat[r][c:]]
+        mat[r] = mat[r][:c] + tail
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = row[:c] + [(a - f * b) % p for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -43,7 +42,33 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], 
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref_mod_p(rows, p)[0])
+    """Rank over F_p."""
+    return _forward_rank([[v % p for v in r] for r in rows], p)
+
+
+def _forward_rank(mat: list[Sequence[int]], p: int) -> int:
+    """Rank of rows with entries already in [0, p), by forward elimination
+    only: the rows below each pivot are cleared, the rows above are left as
+    they are.  Replaces (never mutates) the rows of `mat`."""
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for c in range(ncols):
+        sel = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        piv = mat[sel]
+        mat[sel] = mat[rank]
+        inv = pow(piv[c], p - 2, p)
+        tail = [(v * inv) % p for v in piv[c + 1:]]
+        for i in range(rank + 1, len(mat)):
+            row = mat[i]
+            f = row[c]
+            if f:
+                mat[i] = [0] * (c + 1) + [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -175,9 +200,8 @@ def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
                     piv[low] = v
                     break
         return len(columns) - len(piv)
-    rows = [list(tower.digits(c)) for c in columns]  # row i = digits of column i
-    # rank of the transpose equals rank of the matrix
-    return len(columns) - rank_mod_p(rows, p)
+    # row i = digits of column i: the rank of the transpose is the rank
+    return len(columns) - _forward_rank([tower.digits(c) for c in columns], p)
 
 
 def rank_subfield_matrix(tower: FieldTower, rows: Sequence[Sequence[int]]) -> int:

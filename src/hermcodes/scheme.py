@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .gf import FieldTower, make_tower
 from .hermitian import HermCode, HermMatrix, dual_code, form_matrix
-from .linalg import nullity_of_code_columns, rank_subfield_matrix, span_walk
+from .linalg import FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -538,33 +538,65 @@ def _hermitian_forms(tower: FieldTower, t: int) -> list[tuple[int, ...]]:
     return mats
 
 
-def design_by_extension_count(code: HermCode, t: int,
-                              budget: int = DEFAULT_BUDGET) -> ExtensionCountReport:
+def _restrict(tower: FieldTower, u, gram: list[list[int]]) -> tuple[int, ...]:
+    """The Gram form restricted to the subspace with basis rows u, flattened
+    row-major: entry (a, b) is u_a G conj(u_b)^T."""
+    n = tower.n
+    conj = [tuple(tower.frobenius(c, 1) for c in row) for row in u]
+    restricted = []
+    for ua in u:
+        ga = [_dot(tower, ua, [gram[j][k] for j in range(n)]) for k in range(n)]
+        for cb in conj:
+            restricted.append(_dot(tower, ga, cb))
+    return tuple(restricted)
+
+
+def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDGET,
+                              method: str = "enumerate") -> ExtensionCountReport:
     """For every t-subspace U and Hermitian form H on U, count codewords whose
     Gram form restricted to U (in the canonical basis of U) equals H.
 
     The code is a t-design iff all counts coincide.
+
+    The restriction f -> (Gram form of f on U) is F_p-linear, so on the
+    F_p-span C of the generators each count is |C| / |image| for a form in
+    the image (the F_p-span of the generators' restrictions) and 0 for any
+    other form.  `method="span"` computes the counts that way, from the
+    generators alone; `method="enumerate"` (the default, and the oracle)
+    restricts every codeword.  Both apply the same budget to (codeword,
+    subspace) pairs, so they refuse the same calls.
     """
     tower = code.tower
     if t < 1 or t > tower.n:
         raise ValueError(f"t must be in 1..{tower.n}")
+    if method not in ("span", "enumerate"):
+        raise ValueError(f"unknown method {method!r}")
     subspaces = _subspace_representatives(tower, t)
     if code.size * len(subspaces) > budget:
         raise BudgetExceededError(
             f"{code.size} words x {len(subspaces)} subspaces exceed budget {budget}")
     forms = _hermitian_forms(tower, t)
-    counts = {(u, h): 0 for u in subspaces for h in forms}
-    n = tower.n
-    for f in code.iter_span():
-        gram = form_matrix(f)
+    if method == "span":
+        p = tower.p
+        gen_grams = [form_matrix(g) for g in code.generators]
+
+        def digit_vector(form: tuple[int, ...]) -> list[int]:
+            return [d for c in form for d in tower.digits(c)]
+
+        counts = {}
         for u in subspaces:
-            conj = [tuple(tower.frobenius(c, 1) for c in row) for row in u]
-            restricted = []
-            for a in range(t):
-                ga = [_dot(tower, u[a], [gram[j][k] for j in range(n)]) for k in range(n)]
-                for b in range(t):
-                    restricted.append(_dot(tower, ga, conj[b]))
-            counts[(u, tuple(restricted))] += 1
+            image = FpSpan(t * t * tower.m, p)
+            for gram in gen_grams:
+                image.add(digit_vector(_restrict(tower, u, gram)))
+            fibre = p ** (code.dim - image.dim)
+            for h in forms:
+                counts[(u, h)] = fibre if image.contains(digit_vector(h)) else 0
+    else:
+        counts = {(u, h): 0 for u in subspaces for h in forms}
+        for f in code.iter_span():
+            gram = form_matrix(f)
+            for u in subspaces:
+                counts[(u, _restrict(tower, u, gram))] += 1
     values = set(counts.values())
     uniform = len(values) == 1
     witnesses = []

@@ -285,3 +285,22 @@ def test_tower_serialization_round_trip(tower_q3):
     d = tower_q3.to_dict()
     t2 = make_tower(d["p"], d["e"], d["n"], d["modulus"])
     assert t2 == tower_q3
+
+
+@pytest.mark.parametrize("args", [
+    (3, 1, 1), (3, 1, 3), (5, 1, 3),            # one and two digit chunks
+    (7, 1, 3), (3, 2, 3), (13, 1, 2),           # three and four chunks
+    (3, 1, 7),                                  # above the exp/log table limit
+])
+def test_chunked_add_matches_digitwise(args):
+    t = make_tower(*args)
+    p, m = t.p, t.m
+    rng = random.Random(sum(args))
+    pairs = ([(a, b) for a in range(t.order) for b in range(t.order)] if t.order <= 81
+             else [(rng.randrange(t.order), rng.randrange(t.order)) for _ in range(2000)])
+    pairs += [(0, 0), (t.order - 1, t.order - 1), (0, t.order - 1)]
+    for a, b in pairs:
+        da, db = _digits_of(a, p, m), _digits_of(b, p, m)
+        assert t.add(a, b) == t.from_digits([x + y for x, y in zip(da, db)])
+        assert t.sub(a, b) == t.from_digits([x - y for x, y in zip(da, db)])
+        assert t.neg(b) == t.from_digits([-y for y in db])

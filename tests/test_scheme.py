@@ -15,7 +15,7 @@ from hermcodes import ConstructionParams, build, scheme
 from hermcodes.cli import _run_check
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, full_rank_residue,
                               pairwise_inner_distribution)
-from hermcodes.hermitian import matrix_span
+from hermcodes.hermitian import dual_code, matrix_span
 
 
 # -- cyclotomic integers -------------------------------------------------------
@@ -284,3 +284,26 @@ def test_extension_count_t2_on_small_space(tower_q2_n2):
 def test_extension_count_budget(tower_q3):
     with pytest.raises(BudgetExceededError):
         design_by_extension_count(full_space(tower_q3), 1, budget=100)
+    with pytest.raises(BudgetExceededError):
+        design_by_extension_count(full_space(tower_q3), 1, budget=100, method="span")
+
+
+def test_extension_counts_span_route_matches_enumeration(tower_q2, tower_q3, tower_q2_n2):
+    # the span route counts from the generators; enumeration restricts
+    # every word.  Counts, their order, uniformity and witnesses must agree.
+    cases = [(code, 1) for code in codes_under_test(tower_q2)]
+    cases += [(full_space(tower_q2_n2), 1),
+              (full_space(tower_q2_n2), 2), (build_H(tower_q2, 2, 1), 2),
+              (build_H(tower_q2, 2, 1), 3), (build_E(tower_q3, 3, 1), 1),
+              (dual_code(build_E(tower_q3, 3, 1)), 1)]
+    for code, t in cases:
+        fast = design_by_extension_count(code, t, method="span")
+        slow = design_by_extension_count(code, t, method="enumerate")
+        assert list(fast.counts.items()) == list(slow.counts.items()), (code.label, t)
+        assert (fast.uniform, fast.common_count, fast.witnesses) == \
+            (slow.uniform, slow.common_count, slow.witnesses), (code.label, t)
+
+
+def test_extension_count_rejects_unknown_method(tower_q2):
+    with pytest.raises(ValueError, match="unknown method"):
+        design_by_extension_count(full_space(tower_q2), 1, method="walk")
