@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .gf import FieldTower, find_alpha, find_gamma, is_square, make_tower
-from .hermitian import HermCode, HermMatrix, code_from_matrix_set, is_hermitian
+from .hermitian import (HermCode, HermMatrix, code_from_matrix_set,
+                        hermitian_matrix_basis, is_hermitian)
 from .linpoly import LinPoly
 
 
@@ -185,14 +186,9 @@ def build_E(tower: FieldTower, d: int, s: int) -> HermCode:
 def build_M(tower: FieldTower) -> HermCode:
     """All Hermitian matrices with zero diagonal (matrix model), size q^{n(n-1)}."""
     n = tower.n
-    gens = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for beta in tower.basis_over_prime(2):
-                rows = [[0] * n for _ in range(n)]
-                rows[j][k] = beta
-                rows[k][j] = tower.frobenius(beta, 1)
-                gens.append(HermMatrix(tower, rows))
+    # the basis lists the n * e diagonal vectors first
+    gens = [HermMatrix(tower, [vec[r * n:(r + 1) * n] for r in range(n)])
+            for vec in hermitian_matrix_basis(tower)[n * tower.e:]]
     return code_from_matrix_set(tower, gens, label=f"M(n={n},q={tower.q})", declared_d=2)
 
 

@@ -5,12 +5,19 @@ The kernel of a code is computed in the block-diagonal form it must take for
 additive codes (the zero word always belongs): pairs (N1, N2) of F_p-linear
 maps on F_{q^2n} with N2 . X = X . N1 for every codeword map X, a condition
 that is linear in X and therefore settled on generators.  Matrices act on
-digit column vectors in the ambient power basis; N1 acts on the domain copy
-and N2 on the codomain copy.
+digit column vectors, in the basis 1, x, ..., x^(m-1) of the element codes;
+N1 acts on the domain copy and N2 on the codomain copy.
 
 Idealisers are solved in the polynomial model: left means Z with Z o f in
 the code for every codeword f, right means f o Z.  Both are F_p-linear
 membership systems over the code span.
+
+The kernel and both idealisers are F_p-algebras cut out by a linear system,
+and one routine solves all three: a solution acts as a tuple of F_p
+matrices, (N1, N2) for the kernel and (matrix of Z,) for an idealiser, and
+the algebra is a field when it is closed under blockwise products and every
+block of every nonzero element is invertible.  That is checked on the whole
+span up to q^4 elements (certified) and on a seeded sample above.
 
 Fingerprints collect exact invariants preserved by both equivalence notions.
 The universal support size is reported alongside but never used to certify
@@ -20,14 +27,14 @@ so matching invariants with differing supports must stay "inconclusive".
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gf import FieldTower
-from .hermitian import HermCode, HermMatrix, poly_from_gram, poly_vector
+from .hermitian import (HermCode, HermMatrix, poly_from_gram, poly_from_vector,
+                        poly_vector)
 from .linalg import FpSpan, nullspace_mod_p, rank_mod_p, span_walk
 from .linpoly import LinPoly
 from .scheme import DEFAULT_BUDGET, analyze, dual_strength
@@ -36,15 +43,21 @@ from .scheme import DEFAULT_BUDGET, analyze, dual_strength
 # -- F_p matrices of additive maps ----------------------------------------------
 
 
+def _digit_basis(tower: FieldTower) -> list[int]:
+    """The elements whose digit vectors are the unit vectors: 1, x, ..., x^(m-1)."""
+    return [tower.from_digits([int(i == j) for i in range(tower.m)]) for j in range(tower.m)]
+
+
 def fp_matrix_of_map(tower: FieldTower, images: Sequence[int]) -> list[list[int]]:
-    """Matrix (column convention) of the additive map sending the ambient
-    power basis to the given images."""
+    """Matrix (column convention) of the additive map sending the digit basis
+    to the given images.  It acts on digit vectors, so the matrix of a
+    composition is the product of the matrices."""
     cols = [tower.digits(c) for c in images]
     return [[cols[c][r] for c in range(tower.m)] for r in range(tower.m)]
 
 
 def fp_matrix_of_poly(f: LinPoly) -> list[list[int]]:
-    return fp_matrix_of_map(f.tower, f.image_columns())
+    return fp_matrix_of_map(f.tower, [f.eval(b) for b in _digit_basis(f.tower)])
 
 
 def _matmul_p(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list[list[int]]:
@@ -53,7 +66,7 @@ def _matmul_p(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) ->
 
 
 def _scalar_matrix(tower: FieldTower, c: int) -> list[list[int]]:
-    return fp_matrix_of_map(tower, [tower.mul(c, b) for b in tower.ambient_basis()])
+    return fp_matrix_of_map(tower, [tower.mul(c, b) for b in _digit_basis(tower)])
 
 
 @dataclass
@@ -64,7 +77,8 @@ class EndoSolution:
     carries the solution polynomials for idealiser systems.  `structure`
     is "field" when the space is closed under composition and every nonzero
     element checked is invertible; `certified` says whether that check was
-    exhaustive (it is whenever the order is at most q^4).
+    exhaustive (it is whenever the order is at most `exhaustive_limit`,
+    q^4 by default).
     """
     dim: int
     order: int
@@ -76,81 +90,73 @@ class EndoSolution:
     meta: dict = field(default_factory=dict)
 
 
-def _structure_of_pairs(tower: FieldTower, basis_pairs: list, span: FpSpan,
-                        exhaustive_limit: int) -> tuple[str, bool]:
-    """Closure under composition plus invertibility of nonzero elements."""
-    p = tower.p
-    m = tower.m
-    order = p ** len(basis_pairs)
+def _flat(mats: Iterable[Sequence[Sequence[int]]]) -> list[int]:
+    return [x for mat in mats for row in mat for x in row]
 
-    def vec_of(pair):
-        return [x for row in pair[0] for x in row] + [x for row in pair[1] for x in row]
 
-    closed = True
-    for (a1, a2) in basis_pairs:
-        for (b1, b2) in basis_pairs:
-            prod = (_matmul_p(a1, b1, p), _matmul_p(a2, b2, p))
-            if not span.contains(vec_of(prod)):
-                closed = False
-                break
-        if not closed:
-            break
+def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
+                   blocks_of: Callable[[list[int]], tuple],
+                   exhaustive_limit: Optional[int]) -> tuple[list, FpSpan, EndoSolution]:
+    """The F_p-algebra of the solutions v of `rows . v = 0`, where v acts as
+    blocks_of(v), a tuple of m x m F_p matrices (additive maps of the field)
+    multiplied blockwise.
 
-    def is_invertible(pair):
-        return rank_mod_p(pair[0], p) == m and rank_mod_p(pair[1], p) == m
+    It is a field when the products of basis elements stay in the span and
+    every block of every nonzero element has full rank.  Up to
+    `exhaustive_limit` elements (default q^4) the whole span is scanned and
+    the verdict is certified; above it the unit combinations and 64 seeded
+    ones are tested.  Returns the solution basis, the F_p-span of the
+    flattened blocks and the EndoSolution without pairs, polys or meta.
+    """
+    p, m = tower.p, tower.m
+    if exhaustive_limit is None:
+        exhaustive_limit = tower.q ** 4
+    basis = nullspace_mod_p(rows, nvars, p)
+    # the F_p scalars always solve, so the basis is never empty
+    blocks = [blocks_of(v) for v in basis]
+    vecs = [_flat(bl) for bl in blocks]
+    span = FpSpan(len(vecs[0]), p)
+    for v in vecs:
+        span.add(v)
+    dim = len(basis)
+    order = p ** dim
+    closed = all(span.contains(_flat(_matmul_p(x, y, p) for x, y in zip(a, b)))
+                 for a in blocks for b in blocks)
 
-    def combo(coeffs):
-        n1 = [[0] * m for _ in range(m)]
-        n2 = [[0] * m for _ in range(m)]
-        for c, (b1, b2) in zip(coeffs, basis_pairs):
-            if c:
-                for i in range(m):
-                    for j in range(m):
-                        n1[i][j] = (n1[i][j] + c * b1[i][j]) % p
-                        n2[i][j] = (n2[i][j] + c * b2[i][j]) % p
-        return n1, n2
+    def invertible(vec: Sequence[int]) -> bool:
+        return all(rank_mod_p([vec[at + r * m:at + (r + 1) * m] for r in range(m)], p) == m
+                   for at in range(0, len(vec), m * m))
 
     certified = order <= exhaustive_limit
-    singular = False
     if certified:
-        for coeffs in itertools.product(range(p), repeat=len(basis_pairs)):
-            if not any(coeffs):
-                continue
-            if not is_invertible(combo(coeffs)):
-                singular = True
-                break
+        # the entries are codes below p, on which tower.add is F_p addition
+        elements = span_walk(tower, vecs, [0] * len(vecs[0]))
     else:
         rng = random.Random(11)
-        candidates = [tuple(1 if i == j else 0 for j in range(len(basis_pairs)))
-                      for i in range(len(basis_pairs))]
-        candidates += [tuple(rng.randrange(p) for _ in range(len(basis_pairs)))
-                       for _ in range(64)]
-        for coeffs in candidates:
-            if any(coeffs) and not is_invertible(combo(coeffs)):
-                singular = True
-                break
-    structure = "field" if (closed and not singular) else "non-field"
-    return structure, certified
+        coeffs = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        coeffs += [[rng.randrange(p) for _ in range(dim)] for _ in range(64)]
+        cols = list(zip(*vecs))
+        elements = ([sum(map(operator.mul, cs, col)) % p for col in cols] for cs in coeffs)
+    is_field = closed and all(invertible(v) for v in elements if any(v))
+    return basis, span, EndoSolution(
+        dim=dim, order=order, structure="field" if is_field else "non-field",
+        field_order=order if is_field else None, certified=certified)
 
 
 def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:
     """The code kernel in block-diagonal form: pairs (N1, N2) of F_p-matrices
     with N2 X = X N1 for every codeword map X (generators suffice).
 
-    When the identity map belongs to the code, N1 = N2 is forced and
-    reported in meta["identity_in_code"].  meta["contains_q2_scalars"]
-    records containment of the scalar pairs from F_{q^2}.
+    meta["contains_q2_scalars"] records containment of the scalar pairs from
+    F_{q^2}; meta["identity_form_in_code"] whether the code holds the
+    Hermitian polynomial whose Gram matrix is the identity.
     """
     t = code.tower
     m = t.m
     p = t.p
-    if exhaustive_limit is None:
-        exhaustive_limit = t.q ** 4
-    gen_mats = [fp_matrix_of_poly(g) for g in code.generators]
     nvars = 2 * m * m  # N1 first, then N2
-
     rows = []
-    for x in gen_mats:
+    for x in (fp_matrix_of_poly(g) for g in code.generators):
         for i in range(m):
             for j in range(m):
                 row = [0] * nvars
@@ -159,110 +165,44 @@ def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolu
                     row[m * m + i * m + k] = (row[m * m + i * m + k] + x[k][j]) % p
                     row[k * m + j] = (row[k * m + j] - x[i][k]) % p
                 rows.append(row)
-    basis_vecs = nullspace_mod_p(rows, nvars, p) if rows else \
-        [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-    pairs = []
-    span = FpSpan(nvars, p)
-    for v in basis_vecs:
-        span.add(v)
-        n1 = [v[r * m:(r + 1) * m] for r in range(m)]
-        n2 = [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)]
-        pairs.append((n1, n2))
-    dim = len(pairs)
-    order = p ** dim
-    structure, certified = _structure_of_pairs(t, pairs, span, exhaustive_limit)
 
-    contains_scalars = True
-    for beta in t.basis_over_prime(2):
-        sm = _scalar_matrix(t, beta)
-        vec = [x for row in sm for x in row] * 2
-        if not span.contains(vec):
-            contains_scalars = False
-            break
+    def pair_of(v: list[int]) -> tuple:
+        return ([v[r * m:(r + 1) * m] for r in range(m)],
+                [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)])
+
+    basis, span, sol = _solve_algebra(t, rows, nvars, pair_of, exhaustive_limit)
+    contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
+                           for beta in t.basis_over_prime(2))
     # the identity matrix of the Gram model corresponds to a Hermitian
     # polynomial that is not the identity map; detect that form instead
     eye = HermMatrix(t, [[1 if j == k else 0 for k in range(t.n)] for j in range(t.n)])
-    identity_form_in_code = code.contains(poly_from_gram(t, eye))
-    blocks_equal = all(pair[0] == pair[1] for pair in pairs)
-    return EndoSolution(
-        dim=dim, order=order, structure=structure,
-        field_order=order if structure == "field" else None,
-        certified=certified, pairs=pairs,
-        meta={"contains_q2_scalars": contains_scalars,
-              "identity_form_in_code": identity_form_in_code,
-              "blocks_equal": blocks_equal})
-
-
-def _composition_columns(code: HermCode, side: str) -> list[list[int]]:
-    """Columns of the map Z -> Z o g (left) or g o Z (right), per generator,
-    in the coefficient digit coordinates of the polynomial algebra."""
-    t = code.tower
-    n, m = t.n, t.m
-    cols = []
-    for i in range(n):
-        for beta in t.ambient_basis():
-            unit = LinPoly.monomial(t, beta, i)
-            per_gen = []
-            for g in code.generators:
-                comp = unit.compose(g) if side == "left" else g.compose(unit)
-                per_gen.extend(poly_vector(comp))
-            cols.append(per_gen)
-    return cols
+    return replace(sol, pairs=[pair_of(v) for v in basis],
+                   meta={"contains_q2_scalars": contains_scalars,
+                         "identity_form_in_code": code.contains(poly_from_gram(t, eye))})
 
 
 def _idealiser(code: HermCode, side: str,
                exhaustive_limit: Optional[int] = None) -> EndoSolution:
     t = code.tower
     p = t.p
-    n, m = t.n, t.m
-    if exhaustive_limit is None:
-        exhaustive_limit = t.q ** 4
-    # membership in the code span, expressed through the nullspace of the
-    # generator matrix: v in rowspace(B) iff w . v = 0 for all w in null(B)
-    gen_rows = [poly_vector(g) for g in code.generators]
-    checks = nullspace_mod_p(gen_rows, n * m, p)
-    cols = _composition_columns(code, side)
-    nvars = len(cols)
+    width = t.n * t.m
+    # Z is solved in the coordinates of poly_vector.  Z o g (left) or g o Z
+    # (right) lies in the code span iff every w in the nullspace of the
+    # generator matrix is orthogonal to it.
+    checks = nullspace_mod_p([poly_vector(g) for g in code.generators], width, p)
+    units = [poly_from_vector(t, [int(i == j) for i in range(width)]) for j in range(width)]
     rows = []
-    for gidx in range(code.dim):
-        base = gidx * n * m
-        for w in checks:
-            row = [sum(w[r] * col[base + r] for r in range(n * m)) % p for col in cols]
-            rows.append(row)
-    basis_vecs = nullspace_mod_p(rows, nvars, p) if rows else \
-        [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-
-    ambient = t.ambient_basis()
-    polys = []
-    span = FpSpan(n * m, p)
-    for v in basis_vecs:
-        f = LinPoly.zero(t)
-        for idx, c in enumerate(v):
-            if c:
-                i, bpos = divmod(idx, m)
-                f = f + LinPoly.monomial(t, ambient[bpos], i).scale(c)
-        polys.append(f)
-        span.add(poly_vector(f))
-    dim = len(polys)
-    order = p ** dim
-
-    # composition closure and invertibility on the polynomial side
-    closed = all(span.contains(poly_vector(a.compose(b))) for a in polys for b in polys)
-    certified = order <= exhaustive_limit
-    singular = certified and any(
-        any(cur) and LinPoly(t, cur).rank() < n
-        for cur in span_walk(t, [f.coeffs for f in polys], [0] * n))
-    structure = "field" if (closed and not singular) else "non-field"
-
-    scalar_span = FpSpan(n * m, p)
+    for g in code.generators:
+        images = [poly_vector(u.compose(g) if side == "left" else g.compose(u)) for u in units]
+        rows += [[sum(map(operator.mul, w, img)) % p for img in images] for w in checks]
+    basis, span, sol = _solve_algebra(
+        t, rows, width, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),),
+        exhaustive_limit)
+    scalar_span = FpSpan(t.m * t.m, p)
     for c in t.basis_over_prime(1):
-        scalar_span.add(poly_vector(LinPoly.monomial(t, c, 0)))
-    is_scalar_fq = span.equals(scalar_span)
-    return EndoSolution(
-        dim=dim, order=order, structure=structure,
-        field_order=order if structure == "field" else None,
-        certified=certified, polys=polys,
-        meta={"is_scalar_fq": is_scalar_fq, "side": side})
+        scalar_span.add(_flat((_scalar_matrix(t, c),)))
+    return replace(sol, polys=[poly_from_vector(t, v) for v in basis],
+                   meta={"is_scalar_fq": span.equals(scalar_span), "side": side})
 
 
 def left_idealiser(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:

@@ -221,6 +221,10 @@ class FieldTower:
             out.append(r)
         return tuple(out)
 
+    def digit_vector(self, codes: Iterable[int]) -> list[int]:
+        """The digit vectors of the given elements, concatenated."""
+        return [d for c in codes for d in self.digits(c)]
+
     def from_digits(self, vec: Iterable[int]) -> int:
         vec = tuple(vec)
         if len(vec) != self.m:

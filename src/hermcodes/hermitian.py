@@ -90,6 +90,27 @@ def hermitian_basis(tower: FieldTower) -> list[LinPoly]:
     return tower.cache[key]
 
 
+def hermitian_matrix_basis(tower: FieldTower) -> list[list[int]]:
+    """F_p-basis of the Hermitian matrix space, as flat row-major entry
+    vectors: the n diagonal positions over F_q first, then each position
+    (j, k) with j < k over F_{q^2}, its mirror holding the conjugate."""
+    n = tower.n
+    out = []
+    for j in range(n):
+        for beta in tower.basis_over_prime(1):
+            vec = [0] * (n * n)
+            vec[j * n + j] = beta
+            out.append(vec)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for beta in tower.basis_over_prime(2):
+                vec = [0] * (n * n)
+                vec[j * n + k] = beta
+                vec[k * n + j] = tower.frobenius(beta, 1)
+                out.append(vec)
+    return out
+
+
 def trace_poly(tower: FieldTower) -> LinPoly:
     """sum_i x^{q^{2i}}, the rank-one Hermitian polynomial with image F_{q^2}."""
     return LinPoly(tower, (1,) * tower.n)
@@ -165,12 +186,7 @@ def _gram_solver(tower: FieldTower):
     key = "gram_solver"
     if key not in tower.cache:
         basis = hermitian_basis(tower)
-        cols = []
-        for h in basis:
-            vec = []
-            for c in gram_matrix(h).entry_vector():
-                vec.extend(tower.digits(c))
-            cols.append(vec)
+        cols = [tower.digit_vector(gram_matrix(h).entry_vector()) for h in basis]
         rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
         tower.cache[key] = (basis, rows)
     return tower.cache[key]
@@ -179,10 +195,7 @@ def _gram_solver(tower: FieldTower):
 def poly_from_gram(tower: FieldTower, mat: HermMatrix) -> LinPoly:
     """Inverse of gram_matrix: the Hermitian polynomial with the given Gram matrix."""
     basis, rows = _gram_solver(tower)
-    rhs = []
-    for c in mat.entry_vector():
-        rhs.extend(tower.digits(c))
-    sol = solve_mod_p(rows, rhs, tower.p)
+    sol = solve_mod_p(rows, tower.digit_vector(mat.entry_vector()), tower.p)
     if sol is None:
         raise ValueError("matrix is not in the image of the Hermitian space")
     f = LinPoly.zero(tower)
@@ -196,10 +209,7 @@ def poly_from_gram(tower: FieldTower, mat: HermMatrix) -> LinPoly:
 
 def poly_vector(f: LinPoly) -> list[int]:
     """Concatenated F_p digit vectors of the coefficients."""
-    out = []
-    for c in f.coeffs:
-        out.extend(f.tower.digits(c))
-    return out
+    return f.tower.digit_vector(f.coeffs)
 
 
 def poly_from_vector(tower: FieldTower, vec: Sequence[int]) -> LinPoly:
@@ -277,12 +287,8 @@ def dual_code(code: HermCode) -> HermCode:
             row = [t.digits(v)[pos] for v in vals]
             if any(row):
                 rows.append(row)
-    if not rows:
-        sol = [[1 if i == j else 0 for j in range(len(basis))] for i in range(len(basis))]
-    else:
-        sol = nullspace_mod_p(rows, len(basis), t.p)
     gens = []
-    for vec in sol:
+    for vec in nullspace_mod_p(rows, len(basis), t.p):
         f = LinPoly.zero(t)
         for x, h in zip(vec, basis):
             if x:
@@ -336,10 +342,7 @@ def code_from_matrix_set(tower: FieldTower, matrices: Sequence[HermMatrix],
         if mat.rows in seen:
             raise ValueError("matrices must be pairwise distinct")
         seen.add(mat.rows)
-        vec = []
-        for c in mat.entry_vector():
-            vec.extend(tower.digits(c))
-        if span.add(vec):
+        if span.add(tower.digit_vector(mat.entry_vector())):
             gen_mats.append(mat)
     polys = [poly_from_gram(tower, mat) for mat in gen_mats]
     return HermCode(tower, polys, label=label, declared_d=declared_d,

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .gf import FieldTower, make_tower
-from .hermitian import HermCode, HermMatrix, dual_code, form_matrix
+from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
+                        hermitian_matrix_basis)
 from .linalg import FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk
 
 DEFAULT_BUDGET = 1_000_000
@@ -205,25 +206,6 @@ class Eigenvalues:
                      for k in range(self.n + 1))
 
 
-def _hermitian_matrix_basis(tower: FieldTower) -> list[list[int]]:
-    """F_p-basis of the Hermitian matrix space, as flat row-major entry vectors."""
-    n = tower.n
-    out = []
-    for j in range(n):
-        for beta in tower.basis_over_prime(1):
-            vec = [0] * (n * n)
-            vec[j * n + j] = beta
-            out.append(vec)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for beta in tower.basis_over_prime(2):
-                vec = [0] * (n * n)
-                vec[j * n + k] = beta
-                vec[k * n + j] = tower.frobenius(beta, 1)
-                out.append(vec)
-    return out
-
-
 def _congruence(tower: FieldTower, pmat: list[list[int]], b: HermMatrix) -> HermMatrix:
     """P* B P, a rank-preserving Hermitian congruence."""
     n = tower.n
@@ -284,7 +266,7 @@ def eigenvalues(tower: FieldTower, n: Optional[int] = None,
             raise ConsistencyError("congruence changed the rank of a representative")
     all_reps = reps + alt
 
-    basis = _hermitian_matrix_basis(tower)
+    basis = hermitian_matrix_basis(tower)
     # state = n*n matrix entries followed by tr(Delta* B) per representative;
     # both are additive, so the whole state rides the span odometer
     gen_states = []
@@ -579,18 +561,14 @@ def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDG
     if method == "span":
         p = tower.p
         gen_grams = [form_matrix(g) for g in code.generators]
-
-        def digit_vector(form: tuple[int, ...]) -> list[int]:
-            return [d for c in form for d in tower.digits(c)]
-
         counts = {}
         for u in subspaces:
             image = FpSpan(t * t * tower.m, p)
             for gram in gen_grams:
-                image.add(digit_vector(_restrict(tower, u, gram)))
+                image.add(tower.digit_vector(_restrict(tower, u, gram)))
             fibre = p ** (code.dim - image.dim)
             for h in forms:
-                counts[(u, h)] = fibre if image.contains(digit_vector(h)) else 0
+                counts[(u, h)] = fibre if image.contains(tower.digit_vector(h)) else 0
     else:
         counts = {(u, h): 0 for u in subspaces for h in forms}
         for f in code.iter_span():

@@ -65,6 +65,21 @@ def test_H_generator_count(towers):
     assert code.dim == 6 and code.size == 64
 
 
+def test_M_generators_are_the_off_diagonal_matrix_basis():
+    # the order of the generators fixes the `construct --family M` output
+    for t in (make_tower(2, 1, 3), make_tower(3, 1, 3), make_tower(2, 2, 3)):
+        n = t.n
+        expected = []
+        for j in range(n):
+            for k in range(j + 1, n):
+                for beta in t.basis_over_prime(2):
+                    rows = [[0] * n for _ in range(n)]
+                    rows[j][k] = beta
+                    rows[k][j] = t.frobenius(beta, 1)
+                    expected.append(tuple(map(tuple, rows)))
+        assert [m.rows for m in build_M(t).matrix_generators] == expected
+
+
 def test_H_parameter_validation(towers):
     t4 = make_tower(2, 1, 4)
     with pytest.raises(ParameterError):

@@ -9,7 +9,9 @@ from hermcodes import (HermCode, LinPoly, bilinear_b, code_from_dict,
                        hermitian_basis, is_hermitian,
                        matrix_code_rank_distribution, poly_from_gram,
                        trace_poly)
-from hermcodes.hermitian import HermMatrix, index_pairs, matrix_span
+from hermcodes.hermitian import (HermMatrix, hermitian_matrix_basis, index_pairs,
+                                 matrix_span)
+from hermcodes.linalg import rank_mod_p
 
 
 def build_H321(tower):
@@ -165,6 +167,16 @@ def test_herm_matrix_validation(tower_q2):
         HermMatrix(t, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])    # not conjugate-symmetric
     eye = HermMatrix(t, [[1 if i == j else 0 for j in range(3)] for i in range(3)])
     assert eye.rank() == 3
+
+
+def test_hermitian_matrix_basis_spans_the_matrix_space(tower_q2, tower_q3):
+    for t in (tower_q2, tower_q3):
+        n = t.n
+        basis = hermitian_matrix_basis(t)
+        assert len(basis) == t.e * n * n
+        for vec in basis:
+            HermMatrix(t, [vec[r * n:(r + 1) * n] for r in range(n)])  # validates
+        assert rank_mod_p([t.digit_vector(vec) for vec in basis], t.p) == len(basis)
 
 
 def test_trace_poly_is_rank_one_hermitian(tower_q2, tower_q3):

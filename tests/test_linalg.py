@@ -70,3 +70,11 @@ def test_mod_p_elimination_properties():
 ])
 def test_rank_mod_p_cases(p, rows, rank):
     assert rank_mod_p(rows, p) == rank == len(rref_mod_p(rows, p)[0])
+
+
+@pytest.mark.parametrize("rows", [[], [[0, 0, 0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]]])
+def test_nullspace_of_empty_or_zero_system_is_all_unit_vectors(rows):
+    # callers solve "no constraints" with the same call as any other system
+    for p in (2, 3):
+        assert nullspace_mod_p(rows, 4, p) == [[int(i == j) for j in range(4)]
+                                               for i in range(4)]
