@@ -17,7 +17,8 @@ and one routine solves all three: a solution acts as a tuple of F_p
 matrices, (N1, N2) for the kernel and (matrix of Z,) for an idealiser, and
 the algebra is a field when it is closed under blockwise products and every
 block of every nonzero element is invertible.  That is checked on the whole
-span up to q^4 elements (certified) and on a seeded sample above.
+span up to q^4 elements and on a seeded sample above; a "non-field" verdict
+is proved either way, a "field" verdict only by the whole span.
 
 Fingerprints collect exact invariants preserved by both equivalence notions.
 The universal support size is reported alongside but never used to certify
@@ -76,9 +77,11 @@ class EndoSolution:
     `pairs` carries (N1, N2) matrix pairs for kernel systems; `polys`
     carries the solution polynomials for idealiser systems.  `structure`
     is "field" when the space is closed under composition and every nonzero
-    element checked is invertible; `certified` says whether that check was
-    exhaustive (it is whenever the order is at most `exhaustive_limit`,
-    q^4 by default).
+    element checked is invertible; `certified` says whether the verdict is
+    proved.  A "non-field" verdict always is: closure failed, or a nonzero
+    element has a singular block.  A "field" verdict is proved when every
+    element was checked, which happens whenever the order is at most
+    `exhaustive_limit`, q^4 by default.
     """
     dim: int
     order: int
@@ -103,10 +106,11 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
 
     It is a field when the products of basis elements stay in the span and
     every block of every nonzero element has full rank.  Up to
-    `exhaustive_limit` elements (default q^4) the whole span is scanned and
-    the verdict is certified; above it the unit combinations and 64 seeded
-    ones are tested.  Returns the solution basis, the F_p-span of the
-    flattened blocks and the EndoSolution without pairs, polys or meta.
+    `exhaustive_limit` elements (default q^4) the whole span is scanned;
+    above it the unit combinations and 64 seeded ones are tested, and only
+    a "non-field" verdict is certified.  Returns the solution basis, the
+    F_p-span of the flattened blocks and the EndoSolution without pairs,
+    polys or meta.
     """
     p, m = tower.p, tower.m
     if exhaustive_limit is None:
@@ -127,8 +131,8 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
         return all(rank_mod_p([vec[at + r * m:at + (r + 1) * m] for r in range(m)], p) == m
                    for at in range(0, len(vec), m * m))
 
-    certified = order <= exhaustive_limit
-    if certified:
+    exhaustive = order <= exhaustive_limit
+    if exhaustive:
         # the entries are codes below p, on which tower.add is F_p addition
         elements = span_walk(tower, vecs, [0] * len(vecs[0]))
     else:
@@ -140,7 +144,7 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
     is_field = closed and all(invertible(v) for v in elements if any(v))
     return basis, span, EndoSolution(
         dim=dim, order=order, structure="field" if is_field else "non-field",
-        field_order=order if is_field else None, certified=certified)
+        field_order=order if is_field else None, certified=exhaustive or not is_field)
 
 
 def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:
@@ -198,11 +202,11 @@ def _idealiser(code: HermCode, side: str,
     basis, span, sol = _solve_algebra(
         t, rows, width, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),),
         exhaustive_limit)
-    scalar_span = FpSpan(t.m * t.m, p)
-    for c in t.basis_over_prime(1):
-        scalar_span.add(_flat((_scalar_matrix(t, c),)))
+    scalars = t.basis_over_prime(1)
+    is_scalar_fq = span.dim == len(scalars) and all(
+        span.contains(_flat((_scalar_matrix(t, c),))) for c in scalars)
     return replace(sol, polys=[poly_from_vector(t, v) for v in basis],
-                   meta={"is_scalar_fq": span.equals(scalar_span), "side": side})
+                   meta={"is_scalar_fq": is_scalar_fq, "side": side})
 
 
 def left_idealiser(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:

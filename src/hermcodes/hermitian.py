@@ -280,13 +280,10 @@ def dual_code(code: HermCode) -> HermCode:
     """Annihilator of the code inside the Hermitian space under b(f, g)."""
     t = code.tower
     basis = hermitian_basis(t)
-    rows = []
-    for g in code.generators:
-        vals = [bilinear_b(h, g) for h in basis]
-        for pos in range(t.m):
-            row = [t.digits(v)[pos] for v in vals]
-            if any(row):
-                rows.append(row)
+    # one row per generator and digit position: the transposed digit vectors
+    # of b(h, g) over the basis h
+    rows = [row for g in code.generators
+            for row in zip(*(t.digits(bilinear_b(h, g)) for h in basis))]
     gens = []
     for vec in nullspace_mod_p(rows, len(basis), t.p):
         f = LinPoly.zero(t)

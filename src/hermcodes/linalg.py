@@ -1,74 +1,92 @@
 """Dense exact linear algebra over F_p and over tower subfields.
 
-Everything here is small and deterministic: row-reduction with first-nonzero
-pivoting, no permutation heuristics, so identical inputs yield identical
-reduced forms on every run.
+All F_p elimination goes through one routine, `_echelon`, which streams
+vectors into an echelon basis and drops every vector that reduces to zero,
+so a dependent row costs one reduction and is never touched again.  At
+p = 2 a row is a Python int (bit i is entry i) and a row operation is one
+XOR; at odd p a row is a list of residues.  Reduced forms are built from
+that basis and are unique, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .gf import FieldTower
 
 
+def _echelon(vecs: Iterable, p: int, basis: dict | None = None) -> dict:
+    """Stream vectors into an echelon basis over F_p; returns the basis,
+    extended in place when one is given.
+
+    At p = 2 the vectors are ints and the basis maps the lowest set bit of
+    each row to the row.  At odd p the vectors are lists of residues in
+    [0, p), which are consumed, and the basis maps each pivot column pc to
+    row[pc:] of a row that is 1 at pc, zero left of it and zero at the
+    pivots of the rows before it (insertion order).
+    """
+    if basis is None:
+        basis = {}
+    if p == 2:
+        for v in vecs:
+            while v:
+                low = v & -v
+                if low in basis:
+                    v ^= basis[low]
+                else:
+                    basis[low] = v
+                    break
+        return basis
+    for v in vecs:
+        for pc, row in basis.items():
+            f = v[pc]
+            if f:
+                v[pc:] = [(a - f * b) % p for a, b in zip(v[pc:], row)]
+        for pc, f in enumerate(v):
+            if f:
+                inv = pow(f, p - 2, p)
+                basis[pc] = [(a * inv) % p for a in v[pc:]]
+                break
+    return basis
+
+
+def _pack(vec: Sequence[int], p: int):
+    """A row in `_echelon`'s format: an int at p = 2, a residue list at odd p."""
+    if p == 2:
+        return int("".join("1" if a & 1 else "0" for a in reversed(vec)) or "0", 2)
+    return [a % p for a in vec]
+
+
 def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p. Returns (nonzero rows, pivot cols)."""
-    mat = [[v % p for v in r] for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        # rows r.. are zero left of column c, so the pivot row is too and
-        # row operations only change columns c..
-        inv = pow(mat[r][c], p - 2, p)
-        tail = [(v * inv) % p for v in mat[r][c:]]
-        mat[r] = mat[r][:c] + tail
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = row[:c] + [(a - f * b) % p for a, b in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    ncols = len(rows[0])
+    basis = _echelon([_pack(r, p) for r in rows], p)
+    keys = sorted(basis)
+    # back-substitute from the last pivot; each row is zero left of its pivot
+    if p == 2:
+        red = [basis[k] for k in keys]
+        for i in reversed(range(len(red))):
+            for j in range(i):
+                if red[j] & keys[i]:
+                    red[j] ^= red[i]
+        return ([[r >> c & 1 for c in range(ncols)] for r in red],
+                [k.bit_length() - 1 for k in keys])
+    red = [[0] * pc + basis[pc] for pc in keys]
+    for i in reversed(range(len(red))):
+        pc = keys[i]
+        tail = red[i][pc:]
+        for row in red[:i]:
+            f = row[pc]
+            if f:
+                row[pc:] = [(a - f * b) % p for a, b in zip(row[pc:], tail)]
+    return red, keys
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p."""
-    return _forward_rank([[v % p for v in r] for r in rows], p)
-
-
-def _forward_rank(mat: list[Sequence[int]], p: int) -> int:
-    """Rank of rows with entries already in [0, p), by forward elimination
-    only: the rows below each pivot are cleared, the rows above are left as
-    they are.  Replaces (never mutates) the rows of `mat`."""
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for c in range(ncols):
-        sel = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if sel is None:
-            continue
-        piv = mat[sel]
-        mat[sel] = mat[rank]
-        inv = pow(piv[c], p - 2, p)
-        tail = [(v * inv) % p for v in piv[c + 1:]]
-        for i in range(rank + 1, len(mat)):
-            row = mat[i]
-            f = row[c]
-            if f:
-                mat[i] = [0] * (c + 1) + [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_echelon([_pack(r, p) for r in rows], p))
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -103,49 +121,26 @@ def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> li
 
 
 class FpSpan:
-    """Incremental row space over F_p with membership and reduction queries."""
+    """Incremental row space over F_p with membership queries."""
 
     def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.rows: list[list[int]] = []   # kept in reduced echelon form
-        self.pivots: list[int] = []
+        self.basis: dict = {}   # an `_echelon` basis
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        p = self.p
-        v = [c % p for c in vec]
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
+        return len(self.basis)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
+        # reduce into a copy of the basis, so nothing is inserted
+        return len(_echelon([_pack(vec, self.p)], self.p, dict(self.basis))) == self.dim
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        v = self.reduce(vec)
-        pc = next((i for i, c in enumerate(v) if c), None)
-        if pc is None:
-            return False
-        inv = pow(v[pc], self.p - 2, self.p)
-        v = [(c * inv) % self.p for c in v]
-        for i, (row, rp) in enumerate(zip(self.rows, self.pivots)):
-            if row[pc]:
-                f = row[pc]
-                self.rows[i] = [(a - f * b) % self.p for a, b in zip(row, v)]
-        at = next((i for i, rp in enumerate(self.pivots) if rp > pc), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pc)
-        return True
-
-    def equals(self, other: "FpSpan") -> bool:
-        return self.pivots == other.pivots and self.rows == other.rows
+        dim = self.dim
+        _echelon([_pack(vec, self.p)], self.p, self.basis)
+        return self.dim > dim
 
 
 def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]],
@@ -184,24 +179,13 @@ def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
     """F_p-nullity of the square matrix whose columns are element codes.
 
     Column t is the digit vector of `columns[t]`; this is the matrix of an
-    additive map taken in the ambient power basis.
+    additive map taken in the ambient power basis.  Its rank is that of the
+    transpose, whose rows are the digit vectors: at p = 2 the codes
+    themselves.
     """
     p = tower.p
-    if p == 2:
-        # columns are already bit vectors; xor-basis elimination on ints
-        piv: dict[int, int] = {}
-        for col in columns:
-            v = col
-            while v:
-                low = v & -v
-                if low in piv:
-                    v ^= piv[low]
-                else:
-                    piv[low] = v
-                    break
-        return len(columns) - len(piv)
-    # row i = digits of column i: the rank of the transpose is the rank
-    return len(columns) - _forward_rank([tower.digits(c) for c in columns], p)
+    vecs = columns if p == 2 else [list(tower.digits(c)) for c in columns]
+    return len(columns) - len(_echelon(vecs, p))
 
 
 def rank_subfield_matrix(tower: FieldTower, rows: Sequence[Sequence[int]]) -> int:

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (nullspace_mod_p, rank_mod_p, rref_mod_p, solve_mod_p,
-                             span_walk)
+from hermcodes.linalg import (FpSpan, nullity_of_code_columns, nullspace_mod_p, rank_mod_p,
+                             rref_mod_p, solve_mod_p, span_walk)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -31,7 +31,7 @@ def test_span_walk_matches_product_enumeration(p, k):
 
 
 def test_mod_p_elimination_properties():
-    # rank by forward elimination agrees with the full RREF, every nullspace
+    # the rank agrees with the RREF, every nullspace
     # vector solves the system, and solve_mod_p's answer checks out
     rng = random.Random(4)
     for _ in range(400):
@@ -78,3 +78,132 @@ def test_nullspace_of_empty_or_zero_system_is_all_unit_vectors(rows):
     for p in (2, 3):
         assert nullspace_mod_p(rows, 4, p) == [[int(i == j) for j in range(4)]
                                                for i in range(4)]
+
+
+# -- oracle: a column sweep kept apart from the streaming routine -------------------
+
+
+def _oracle_rref(rows, p):
+    """RREF by a column sweep: pick the first row at or below the current
+    one with a nonzero entry in the column, swap it up, scale it and clear
+    the column in every other row; the pivot row is zero left of the
+    column, so only the columns from it on change."""
+    mat = [[v % p for v in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        tail = [(v * inv) % p for v in mat[r][c:]]
+        mat[r] = mat[r][:c] + tail
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = row[:c] + [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _oracle_nullspace(rows, ncols, p):
+    red, pivots = _oracle_rref(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[fc] % p
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve(rows, rhs, p):
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = _oracle_rref([list(r) + [b] for r, b in zip(rows, rhs)], p)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, pc in zip(red, pivots):
+        x[pc] = r[-1]
+    return x
+
+
+def _seeded_system(rng, p, nr, nc, rank):
+    """nr x nc rows of the given rank at most (combinations of `rank` random
+    rows), with entries spread over [-p, 2p) so that reduction mod p shows."""
+    base = [[rng.randrange(p) for _ in range(nc)] for _ in range(rank)]
+    rows = []
+    for _ in range(nr):
+        cs = [rng.randrange(p) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(cs, base)) % p + p * rng.randrange(-1, 2)
+                     for j in range(nc)])
+    return rows
+
+
+def _systems(p):
+    rng = random.Random(100 + p)
+    out = [[], [[0] * 5], [[0] * 3] * 4, [[]] * 2,
+           [[rng.randrange(-p, 2 * p) for _ in range(9)] for _ in range(9)]]
+    out.append(_seeded_system(rng, p, 400, 48, 47))                    # tall
+    out += [_seeded_system(rng, p, 6, 40, r) for r in (6, 3)]          # wide
+    out += [_seeded_system(rng, p, rng.randint(1, 20), rng.randint(1, 20),
+                           rng.randint(0, 12)) for _ in range(40)]      # rank-deficient
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elimination_matches_column_sweep_oracle(p):
+    rng = random.Random(p)
+    for rows in _systems(p):
+        nc = len(rows[0]) if rows else 4
+        red, pivots = _oracle_rref(rows, p)
+        assert rref_mod_p(rows, p) == (red, pivots)
+        assert rank_mod_p(rows, p) == len(red)
+        assert nullspace_mod_p(rows, nc, p) == _oracle_nullspace(rows, nc, p)
+        x = [rng.randrange(p) for _ in range(nc)]
+        consistent = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        for rhs in (consistent, [rng.randrange(-p, 2 * p) for _ in rows]):
+            assert solve_mod_p(rows, rhs, p) == _oracle_solve(rows, rhs, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_span_matches_oracle_ranks(p):
+    rng = random.Random(20 + p)
+    for rows in _systems(p)[4:]:
+        nc = len(rows[0])
+        span = FpSpan(nc, p)
+        # the oracle checks every step on short systems, the end on the tall one
+        steps = len(rows) <= 40
+        for k, vec in enumerate(rows):
+            added = span.add(vec)
+            assert span.contains(vec)
+            if steps:
+                rank = len(_oracle_rref(rows[:k], p)[0])
+                assert added == (len(_oracle_rref(rows[:k + 1], p)[0]) > rank)
+                probe = [rng.randrange(-p, 2 * p) for _ in range(nc)]
+                grows = len(_oracle_rref(rows[:k + 1] + [probe], p)[0]) > span.dim
+                assert span.contains(probe) != grows
+                assert span.dim == rank + added
+        assert span.dim == len(_oracle_rref(rows, p)[0])
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (5, 1, 3)])
+def test_nullity_matches_oracle_rank_of_digit_matrix(p, e, n):
+    t = make_tower(p, e, n)
+    rng = random.Random(10 * p + e)
+    for _ in range(60):
+        cols = [rng.randrange(t.order) for _ in range(t.m)]
+        # make some words singular: zero columns and sums of other columns
+        for _ in range(rng.randrange(4)):
+            i, j, k = (rng.randrange(t.m) for _ in range(3))
+            cols[k] = 0 if rng.random() < 0.3 else t.add(cols[i], cols[j])
+        digit_matrix = [[t.digits(c)[r] for c in cols] for r in range(t.m)]
+        assert nullity_of_code_columns(t, cols) == t.m - len(_oracle_rref(digit_matrix, p)[0])

@@ -1,6 +1,7 @@
-"""scripts/reproduce_report.py on its q = 2 instances, and the kernel and
-idealiser checks on all its instances, against the recorded report outputs
-in perfbench/golden/outputs.json."""
+"""scripts/reproduce_report.py on its q = 2 instances, the kernel and
+idealiser checks on all its instances, and the CLI outputs that F_p
+elimination feeds (stats ranks, the dual code's basis), against the
+recorded outputs in perfbench/golden/outputs.json."""
 
 import json
 import sys
@@ -13,13 +14,17 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import reproduce_report  # noqa: E402
 from hermcodes import build  # noqa: E402
-from hermcodes.cli import _run_check  # noqa: E402
+from hermcodes.cli import _run_check, main  # noqa: E402
 from hermcodes.scheme import DEFAULT_BUDGET  # noqa: E402
 
 
+def _golden(workload):
+    return json.loads((ROOT / "perfbench" / "golden" / "outputs.json")
+                      .read_text(encoding="utf-8"))[workload]
+
+
 def test_q2_report_matches_golden_outputs(tmp_path, monkeypatch):
-    golden = json.loads((ROOT / "perfbench" / "golden" / "outputs.json")
-                        .read_text(encoding="utf-8"))["report"]
+    golden = _golden("report")
     monkeypatch.setattr(reproduce_report, "INSTANCES",
                         [p for p in reproduce_report.INSTANCES if p.q == 2])
     out = tmp_path / "report.json"
@@ -37,8 +42,7 @@ def test_q2_report_matches_golden_outputs(tmp_path, monkeypatch):
 
 def test_kernel_and_idealiser_reports_match_golden_outputs():
     # every report instance, q = 3 and q = 5 included, through the check runner
-    golden = json.loads((ROOT / "perfbench" / "golden" / "outputs.json")
-                        .read_text(encoding="utf-8"))["report"]
+    golden = _golden("report")
     seen = 0
     for params in reproduce_report.INSTANCES:
         code = build(params)
@@ -48,6 +52,28 @@ def test_kernel_and_idealiser_reports_match_golden_outputs():
             assert golden[name]["report"] == report, name
             seen += 1
     assert seen == 16
+
+
+@pytest.mark.parametrize("workload, name", [("stats-char2", "H-q4-n3"),
+                                            ("stats-odd", "Htilde-q5-n3"),
+                                            ("stats-odd", "H-q3-n4")])
+def test_stats_match_golden_outputs(tmp_path, workload, name):
+    out = tmp_path / "stats.json"
+    rc = main(["stats", "--code", str(ROOT / "perfbench" / "inputs" / f"{name}.json"),
+               "--out", str(out)])
+    assert {"exit": rc, "output": out.read_text()} == _golden(workload)[f"stats {name}"]
+
+
+def test_construct_and_dual_match_golden_outputs(tmp_path):
+    # the dual file lists the nullspace basis, so its bytes pin that order
+    golden = _golden("construct-wide")
+    code, dual = tmp_path / "code.json", tmp_path / "dual.json"
+    calls = {"construct E-q7": (["construct", "--family", "E", "--q", "7", "--n", "3",
+                                 "--d", "3", "--s", "1"], code),
+             "dual E-q7": (["dual", "--code", str(code)], dual)}
+    for name, (argv, out) in calls.items():
+        rc = main(argv + ["--out", str(out)])
+        assert {"exit": rc, "output": out.read_text()} == golden[name], name
 
 
 def test_negative_budget_is_usage_error(capsys):
