@@ -190,9 +190,11 @@ def _check_mindist(code: HermCode, d: int, budget: int):
     mindist = scheme.min_rank(scheme.cached_inner(code))
     if code.declared_d is None or mindist == code.declared_d:
         return "pass", None
-    offender = next(f for f in code.iter_span() if not f.is_zero() and f.rank() == mindist)
-    return "fail", {"declared_d": code.declared_d, "min_rank": mindist,
-                    "codeword": [list(code.tower.digits(c)) for c in offender.coeffs]}
+    witness = {"declared_d": code.declared_d, "min_rank": mindist}
+    if mindist:  # the zero code has no nonzero word to show
+        offender = next(f for f in code.iter_span() if not f.is_zero() and f.rank() == mindist)
+        witness["codeword"] = [list(code.tower.digits(c)) for c in offender.coeffs]
+    return "fail", witness
 
 
 def _check_theorem3(code: HermCode, d: int, budget: int):
@@ -230,10 +232,13 @@ def _check_kernel(code: HermCode, d: int, budget: int):
     hypotheses = _maximum_design(code, d, budget) and d < code.n
     sol = equivalence.kernel_K(code)
     scalars = sol.meta["contains_q2_scalars"]
-    ok = scalars and (not hypotheses
-                      or (sol.order == code.tower.q ** 2 and sol.structure == "field"))
     witness = {"order": sol.order, "structure": sol.structure, "contains_q2_scalars": scalars}
-    return ("pass" if ok else "fail"), witness
+    if not scalars or (hypotheses and sol.order != code.tower.q ** 2):
+        return "fail", witness
+    if not hypotheses or sol.structure == "field":
+        return "pass", witness
+    # a structure no certificate settled is not a failure
+    return ("inconclusive" if sol.structure == "unknown" else "fail"), witness
 
 
 def _check_idealisers(code: HermCode, d: int, budget: int):

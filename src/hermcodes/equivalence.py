@@ -14,11 +14,11 @@ membership systems over the code span.
 
 The kernel and both idealisers are F_p-algebras cut out by a linear system,
 and one routine solves all three: a solution acts as a tuple of F_p
-matrices, (N1, N2) for the kernel and (matrix of Z,) for an idealiser, and
-the algebra is a field when it is closed under blockwise products and every
-block of every nonzero element is invertible.  That is checked on the whole
-span up to q^4 elements and on a seeded sample above; a "non-field" verdict
-is proved either way, a "field" verdict only by the whole span.
+matrices, (N1, N2) for the kernel and (matrix of Z,) for an idealiser,
+multiplied blockwise.  A closed algebra A is a field iff some a in A has an
+irreducible minimal polynomial of degree dim A, as then A = F_p[a], and a
+nonzero a with a reducible one proves A is not a field; that a and its
+polynomial are kept as the certificate of the verdict.
 
 Fingerprints collect exact invariants preserved by both equivalence notions.
 The universal support size is reported alongside but never used to certify
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .gf import FieldTower
+from .gf import FieldTower, _is_irreducible
 from .hermitian import (HermCode, HermMatrix, poly_from_gram, poly_from_vector,
                         poly_vector)
-from .linalg import FpSpan, nullspace_mod_p, rank_mod_p, span_walk
+from .linalg import FpSpan, nullspace_mod_p
 from .linpoly import LinPoly
 from .scheme import DEFAULT_BUDGET, analyze, dual_strength
 
@@ -75,79 +76,88 @@ class EndoSolution:
     """Solution space of a kernel or idealiser system over F_p.
 
     `pairs` carries (N1, N2) matrix pairs for kernel systems; `polys`
-    carries the solution polynomials for idealiser systems.  `structure`
-    is "field" when the space is closed under composition and every nonzero
-    element checked is invertible; `certified` says whether the verdict is
-    proved.  A "non-field" verdict always is: closure failed, or a nonzero
-    element has a singular block.  A "field" verdict is proved when every
-    element was checked, which happens whenever the order is at most
-    `exhaustive_limit`, q^4 by default.
+    carries the solution polynomials for idealiser systems.  `structure` is
+    "field", "non-field" or "unknown"; only "unknown" is not `certified`.
+    `certificate` is (coefficients, polynomial): the element sum(c_i basis_i)
+    and its monic minimal polynomial, little endian, irreducible of degree
+    `dim` for a field and reducible for a non-field.  It is None for
+    "unknown" and for a span not closed under products.
     """
     dim: int
     order: int
     structure: str
     field_order: Optional[int]
     certified: bool
+    certificate: Optional[tuple] = None
     pairs: Optional[list] = None
     polys: Optional[list[LinPoly]] = None
     meta: dict = field(default_factory=dict)
+
+
+# Seeded elements tried for a minimal-polynomial certificate; the kernels
+# and idealisers of the paper's families are settled within a few.
+_CERTIFICATE_TRIES = 64
 
 
 def _flat(mats: Iterable[Sequence[Sequence[int]]]) -> list[int]:
     return [x for mat in mats for row in mat for x in row]
 
 
-def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
-                   blocks_of: Callable[[list[int]], tuple],
-                   exhaustive_limit: Optional[int]) -> tuple[list, FpSpan, EndoSolution]:
-    """The F_p-algebra of the solutions v of `rows . v = 0`, where v acts as
-    blocks_of(v), a tuple of m x m F_p matrices (additive maps of the field)
-    multiplied blockwise.
+def _minimal_polynomial(a: tuple, p: int) -> tuple[int, ...]:
+    """Monic minimal polynomial over F_p, little endian, of a tuple of square
+    matrices multiplied blockwise: the one relation among the powers of `a`
+    up to the first that lies in the span of the lower ones."""
+    power = tuple([[int(i == j) for j in range(len(b))] for i in range(len(b))] for b in a)
+    span = FpSpan(len(_flat(a)), p)
+    powers = [_flat(power)]
+    while span.add(powers[-1]):
+        power = tuple(_matmul_p(x, y, p) for x, y in zip(power, a))
+        powers.append(_flat(power))
+    (relation,) = nullspace_mod_p(list(zip(*powers)), len(powers), p)
+    return tuple(relation)
 
-    It is a field when the products of basis elements stay in the span and
-    every block of every nonzero element has full rank.  Up to
-    `exhaustive_limit` elements (default q^4) the whole span is scanned;
-    above it the unit combinations and 64 seeded ones are tested, and only
-    a "non-field" verdict is certified.  Returns the solution basis, the
-    F_p-span of the flattened blocks and the EndoSolution without pairs,
-    polys or meta.
+
+def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
+                   blocks_of: Callable[[list[int]], tuple]) -> tuple[list, FpSpan, EndoSolution]:
+    """The F_p-algebra of the solutions v of `rows . v = 0`, where v acts as
+    blocks_of(v), a tuple of m x m F_p matrices multiplied blockwise and
+    linear in v.  A span not closed under products is a non-field.  Else
+    seeded nonzero elements are tried: a reducible minimal polynomial proves
+    "non-field", an irreducible one of degree dim proves "field" (Lidl and
+    Niederreiter, Finite Fields, ch. 2-3), and "unknown" is left if none
+    settles it.  Returns the solution basis, the F_p-span of the flattened
+    blocks and the EndoSolution without pairs, polys or meta.
     """
-    p, m = tower.p, tower.m
-    if exhaustive_limit is None:
-        exhaustive_limit = tower.q ** 4
+    p = tower.p
     basis = nullspace_mod_p(rows, nvars, p)
     # the F_p scalars always solve, so the basis is never empty
     blocks = [blocks_of(v) for v in basis]
-    vecs = [_flat(bl) for bl in blocks]
-    span = FpSpan(len(vecs[0]), p)
-    for v in vecs:
-        span.add(v)
+    span = FpSpan(len(_flat(blocks[0])), p)
+    for bl in blocks:
+        span.add(_flat(bl))
     dim = len(basis)
     order = p ** dim
     closed = all(span.contains(_flat(_matmul_p(x, y, p) for x, y in zip(a, b)))
                  for a in blocks for b in blocks)
-
-    def invertible(vec: Sequence[int]) -> bool:
-        return all(rank_mod_p([vec[at + r * m:at + (r + 1) * m] for r in range(m)], p) == m
-                   for at in range(0, len(vec), m * m))
-
-    exhaustive = order <= exhaustive_limit
-    if exhaustive:
-        # the entries are codes below p, on which tower.add is F_p addition
-        elements = span_walk(tower, vecs, [0] * len(vecs[0]))
-    else:
-        rng = random.Random(11)
-        coeffs = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        coeffs += [[rng.randrange(p) for _ in range(dim)] for _ in range(64)]
-        cols = list(zip(*vecs))
-        elements = ([sum(map(operator.mul, cs, col)) % p for col in cols] for cs in coeffs)
-    is_field = closed and all(invertible(v) for v in elements if any(v))
+    structure, certificate = ("unknown" if closed else "non-field"), None
+    rng = random.Random(11)
+    for _ in range(_CERTIFICATE_TRIES if closed else 0):
+        coeffs = [rng.randrange(p) for _ in range(dim)]
+        if not any(coeffs):
+            continue
+        poly = _minimal_polynomial(
+            blocks_of([sum(map(operator.mul, coeffs, col)) % p for col in zip(*basis)]), p)
+        irreducible = _is_irreducible(poly, p)
+        if not irreducible or len(poly) - 1 == dim:
+            structure, certificate = ("field" if irreducible else "non-field"), (coeffs, poly)
+            break
     return basis, span, EndoSolution(
-        dim=dim, order=order, structure="field" if is_field else "non-field",
-        field_order=order if is_field else None, certified=exhaustive or not is_field)
+        dim=dim, order=order, structure=structure,
+        field_order=order if structure == "field" else None,
+        certified=structure != "unknown", certificate=certificate)
 
 
-def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:
+def kernel_K(code: HermCode) -> EndoSolution:
     """The code kernel in block-diagonal form: pairs (N1, N2) of F_p-matrices
     with N2 X = X N1 for every codeword map X (generators suffice).
 
@@ -174,7 +184,7 @@ def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolu
         return ([v[r * m:(r + 1) * m] for r in range(m)],
                 [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)])
 
-    basis, span, sol = _solve_algebra(t, rows, nvars, pair_of, exhaustive_limit)
+    basis, span, sol = _solve_algebra(t, rows, nvars, pair_of)
     contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
                            for beta in t.basis_over_prime(2))
     # the identity matrix of the Gram model corresponds to a Hermitian
@@ -185,8 +195,7 @@ def kernel_K(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolu
                          "identity_form_in_code": code.contains(poly_from_gram(t, eye))})
 
 
-def _idealiser(code: HermCode, side: str,
-               exhaustive_limit: Optional[int] = None) -> EndoSolution:
+def _idealiser(code: HermCode, side: str) -> EndoSolution:
     t = code.tower
     p = t.p
     width = t.n * t.m
@@ -200,8 +209,7 @@ def _idealiser(code: HermCode, side: str,
         images = [poly_vector(u.compose(g) if side == "left" else g.compose(u)) for u in units]
         rows += [[sum(map(operator.mul, w, img)) % p for img in images] for w in checks]
     basis, span, sol = _solve_algebra(
-        t, rows, width, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),),
-        exhaustive_limit)
+        t, rows, width, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
     scalars = t.basis_over_prime(1)
     is_scalar_fq = span.dim == len(scalars) and all(
         span.contains(_flat((_scalar_matrix(t, c),))) for c in scalars)
@@ -209,14 +217,14 @@ def _idealiser(code: HermCode, side: str,
                    meta={"is_scalar_fq": is_scalar_fq, "side": side})
 
 
-def left_idealiser(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:
+def left_idealiser(code: HermCode) -> EndoSolution:
     """{Z : Z o f in C for every f in C}, solved over F_p on generators."""
-    return _idealiser(code, "left", exhaustive_limit)
+    return _idealiser(code, "left")
 
 
-def right_idealiser(code: HermCode, exhaustive_limit: Optional[int] = None) -> EndoSolution:
+def right_idealiser(code: HermCode) -> EndoSolution:
     """{Z : f o Z in C for every f in C}, solved over F_p on generators."""
-    return _idealiser(code, "right", exhaustive_limit)
+    return _idealiser(code, "right")
 
 
 # -- supports --------------------------------------------------------------------
@@ -233,11 +241,7 @@ def universal_support(code: HermCode) -> frozenset[int]:
 
 def a_pow_b(a: Iterable[int], b: Iterable[int], n: int) -> frozenset[int]:
     """Residues mod n expressible as i + j with (i, j) in A x B in exactly one way."""
-    counts: dict[int, int] = {}
-    for i in a:
-        for j in b:
-            k = (i + j) % n
-            counts[k] = counts.get(k, 0) + 1
+    counts = Counter((i + j) % n for i in a for j in b)
     return frozenset(k for k, c in counts.items() if c == 1)
 
 
@@ -258,14 +262,10 @@ def check_independent_support(code: HermCode, b_set: Iterable[int],
     if frozenset(witness) != b_set:
         raise ValueError("witness indices do not match the declared support set")
     t = code.tower
-    for i, h in witness.items():
-        if len({h(a) for a in domain}) != len(domain):
-            return False
-    for a in domain:
-        f = LinPoly.from_map(t, {i: h(a) for i, h in witness.items()})
-        if not code.contains(f):
-            return False
-    return True
+    if any(len({h(a) for a in domain}) != len(domain) for h in witness.values()):
+        return False
+    return all(code.contains(LinPoly.from_map(t, {i: h(a) for i, h in witness.items()}))
+               for a in domain)
 
 
 # -- fingerprints ------------------------------------------------------------------

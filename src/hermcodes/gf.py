@@ -149,7 +149,8 @@ def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     for _ in range(m):
         xp = _ppowmod(xp, p, mod, p)
         powers.append(xp)
-    if _ptrim(powers[-1]) != (0, 1):
+    # x mod f is x itself unless m = 1
+    if _ptrim(powers[-1]) != _pmod((0, 1), mod, p):
         return False
     for r in _factorize(m):
         k = m // r
@@ -391,9 +392,6 @@ class FieldTower:
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:

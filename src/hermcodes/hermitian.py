@@ -383,7 +383,7 @@ def code_from_dict(data: dict, tower: FieldTower | None = None) -> HermCode:
     """The code a `code_to_dict` dictionary describes.
 
     Raises ValueError, naming the field, when the dictionary does not follow
-    that schema or holds a digit outside [0, p).
+    that schema, holds a digit outside [0, p) or declares d outside 1..n.
     """
     from .gf import make_tower  # local import to keep module load light
     if not isinstance(data, dict):
@@ -403,8 +403,9 @@ def code_from_dict(data: dict, tower: FieldTower | None = None) -> HermCode:
         raise ValueError("code file field 'model' must be 'poly' or 'matrix'")
     if not isinstance(label, str):
         raise ValueError("code file field 'label' must be a string")
-    if declared_d is not None and not _is_int(declared_d):
-        raise ValueError("code file field 'declared_d' must be an integer or null")
+    if declared_d is not None and not (_is_int(declared_d) and 1 <= declared_d <= t.n):
+        raise ValueError(f"code file field 'declared_d' must be null or an integer "
+                         f"from 1 to n = {t.n}")
     gens_data = data.get("generators")
     if not isinstance(gens_data, list):
         raise ValueError("code file field 'generators' must be a list")

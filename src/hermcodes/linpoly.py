@@ -194,9 +194,6 @@ class QPoly:
             raise AssertionError("kernel of a q-polynomial must be an F_q-space")
         return nullity // self.tower.e
 
-    def rank_fq(self) -> int:
-        return 2 * self.tower.n - self.kernel_dim_fq()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, QPoly) and self.tower == other.tower
                 and self.coeffs == other.coeffs)

@@ -80,9 +80,6 @@ class CycloInt:
     def __neg__(self) -> "CycloInt":
         return CycloInt(self.p, [-a for a in self.coords])
 
-    def scaled(self, k: int) -> "CycloInt":
-        return CycloInt(self.p, [k * a for a in self.coords])
-
     def is_rational_integer(self) -> bool:
         return not any(self.coords[1:])
 

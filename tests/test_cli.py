@@ -1,14 +1,19 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermcodes
 from hermcodes import ConstructionParams, build, scheme
 from hermcodes.cli import CHECKS, _run_check, main
+from hermcodes.hermitian import code_to_dict
 from hermcodes.scheme import DEFAULT_BUDGET
 
 
@@ -145,6 +150,21 @@ def test_verify_failure_carries_witness(tmp_path, capsys):
     assert rep["witness"] == {"size": "32", "bound": "64"}
 
 
+def test_mindist_of_a_file_with_no_generators_fails_without_a_codeword(tmp_path, capsys):
+    # the zero code has no nonzero word to offer as the witness
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    data = json.loads(open(path).read())
+    data["generators"] = []
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(data))
+    rc, out = run(["verify", "--code", str(bad), "--checks", "mindist"], capsys)
+    assert rc == 1
+    rep = json.loads(out)["reports"][0]
+    assert rep["verdict"] == "fail"
+    assert rep["witness"] == {"declared_d": "2", "min_rank": "0"}
+
+
 def test_dual_subcommand(tmp_path, capsys):
     path = construct(tmp_path, capsys, "Htilde", "--q", "3", "--n", "3", "--s", "1")
     dual_path = tmp_path / "dual.json"
@@ -276,6 +296,10 @@ MALFORMED_FILES = {
     "generators not a list": (_edit("generators", value=5), "'generators'"),
     "generator of wrong width": (_edit("generators", 0, value=[[0] * 6]), "'generators[0]'"),
     "declared_d as a string": (_edit("declared_d", value="2"), "'declared_d'"),
+    # d lies in 1..n: a larger one gave a float bound, a very negative one
+    # an integer q^(n(n-d+1)) too big to print
+    "declared_d above n": (_edit("declared_d", value=5), "'declared_d'"),
+    "declared_d far below 1": (_edit("declared_d", value=-100000), "'declared_d'"),
     "unknown model": (_edit("model", value="graph"), "'model'"),
     "label as a number": (_edit("label", value=7), "'label'"),
     # towers past the 2^32 ceiling are refused before any slow arithmetic
@@ -327,3 +351,49 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0, proc.stderr
     assert main(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+# -- fuzzing the command line ----------------------------------------------------
+
+
+_FUZZ_SOURCES = {family: code_to_dict(build(ConstructionParams(family=family, q=2, n=3, **kw)))
+                 for family, kw in (("H", {"d": 2, "s": 1}), ("E", {"d": 3, "s": 1}),
+                                    ("M", {}))}
+
+
+@st.composite
+def _mutated_code_file(draw):
+    data = copy.deepcopy(_FUZZ_SOURCES[draw(st.sampled_from(sorted(_FUZZ_SOURCES)))])
+    gens = data["generators"]
+    for kind in draw(st.lists(st.sampled_from(["drop", "truncate", "sum", "flip", "d"]),
+                              min_size=1, max_size=3)):
+        index = st.integers(0, max(len(gens) - 1, 0))
+        if kind == "d":
+            data["declared_d"] = draw(st.integers(-3, 6))
+        elif kind == "truncate":
+            del gens[draw(st.integers(0, len(gens))):]
+        elif not gens:
+            continue
+        elif kind == "drop":
+            del gens[draw(index)]
+        elif kind == "sum":
+            i, j = draw(index), draw(index)
+            gens[i] = [[(a + b) % 2 for a, b in zip(u, v)] for u, v in zip(gens[i], gens[j])]
+        else:
+            entry = draw(st.sampled_from(gens[draw(index)]))
+            k = draw(st.integers(0, len(entry) - 1))
+            entry[k] ^= 1
+    return data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=_mutated_code_file())
+def test_fuzzed_code_files_give_an_exit_code_never_an_exception(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in ("verify", "stats"):
+            rc = main([command, "--code", path, "--budget", "200",
+                       "--out", os.path.join(tmp, "out.json")])
+            assert rc in (0, 1, 2, 3), (command, rc)

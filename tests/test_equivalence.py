@@ -1,4 +1,6 @@
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,15 @@ from hermcodes import (HermCode, LinPoly, a_pow_b, build_E, build_H,
                        invariant_fingerprint, kernel_K, left_idealiser,
                        make_tower, poly_from_gram, right_idealiser,
                        support_containment, universal_support)
+from hermcodes import build, equivalence
+from hermcodes.cli import _run_check
 from hermcodes.hermitian import HermMatrix
 from hermcodes.equivalence import _solve_algebra, fp_matrix_of_poly
 from hermcodes.linalg import rank_mod_p
+from hermcodes.scheme import DEFAULT_BUDGET
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import reproduce_report  # noqa: E402
 
 
 def identity_form_poly(tower):
@@ -74,13 +82,13 @@ def test_kernel_of_single_full_rank_word_exceeds_q2(tower_q3):
     f0 = identity_form_poly(tower_q3)
     assert f0.rank() == 3
     code = HermCode(tower_q3, [f0], label="single")
-    sol = kernel_K(code, exhaustive_limit=81)
+    sol = kernel_K(code)
     assert sol.order > 9
     assert sol.structure == "non-field"
     assert sol.certified
     # f0 is invertible, so Z o f0 or f0 o Z lies in F_p f0 only for Z in F_p
     for solve in (left_idealiser, right_idealiser):
-        ideal = solve(code, exhaustive_limit=81)
+        ideal = solve(code)
         assert ideal.order == 3 and ideal.structure == "field" and ideal.certified
         assert ideal.meta["is_scalar_fq"]
 
@@ -133,7 +141,7 @@ def test_structure_matches_brute_force_scan(tower_q2, tower_q3, tower_q2_n2):
         t = code.tower
         for solve in (kernel_K, left_idealiser, right_idealiser):
             sol = solve(code)
-            assert sol.certified == (sol.order <= t.q ** 4 or sol.structure == "non-field")
+            assert sol.certified
             if sol.order <= t.q ** 4:
                 assert sol.structure == _brute_structure(sol, t), (code.label, solve.__name__)
                 assert sol.field_order == (sol.order if sol.structure == "field" else None)
@@ -147,8 +155,94 @@ def test_solver_refuses_a_span_not_closed_under_products():
     # call reaches this verdict.
     t = make_tower(2, 1, 1)
     rows = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]]
-    _, _, sol = _solve_algebra(t, rows, 4, lambda v: ([v[0:2], v[2:4]],), None)
+    _, _, sol = _solve_algebra(t, rows, 4, lambda v: ([v[0:2], v[2:4]],))
     assert (sol.order, sol.structure, sol.certified) == (2, "non-field", True)
+
+
+def _rank_by_elimination(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _divides(d, f, p):
+    """The monic little-endian d divides f over F_p (long division)."""
+    r = list(f)
+    for s in range(len(f) - len(d), -1, -1):
+        c = r[s + len(d) - 1]
+        for i, di in enumerate(d):
+            r[s + i] = (r[s + i] - c * di) % p
+    return not any(r)
+
+
+def _irreducible_by_trial_division(f, p):
+    deg = len(f) - 1
+    return deg >= 1 and not any(
+        _divides(low + (1,), f, p)
+        for k in range(1, deg // 2 + 1) for low in itertools.product(range(p), repeat=k))
+
+
+def _assert_certificate(sol, p):
+    coeffs, poly = sol.certificate
+    assert len(coeffs) == sol.dim and any(c % p for c in coeffs)
+    if sol.pairs is not None:
+        basis = [list(pair) for pair in sol.pairs]
+    else:
+        basis = [[fp_matrix_of_poly(z)] for z in sol.polys]
+    size = len(basis[0][0])
+    a = [[[sum(c * el[b][i][j] for c, el in zip(coeffs, basis)) % p for j in range(size)]
+          for i in range(size)] for b in range(len(basis[0]))]
+    eye = [[int(i == j) for j in range(size)] for i in range(size)]
+    powers = [[eye] * len(a)]
+    for _ in range(len(poly) - 1):
+        powers.append([_matmul(x, y, p) for x, y in zip(powers[-1], a)])
+    flat = [[v for mat in pw for row in mat for v in row] for pw in powers]
+    # monic, kills the element, and no relation of lower degree
+    assert poly[-1] == 1
+    assert not any(sum(c * col for c, col in zip(poly, column)) % p for column in zip(*flat))
+    assert _rank_by_elimination(flat[:-1], p) == len(poly) - 1
+    irreducible = _irreducible_by_trial_division(poly, p)
+    assert (sol.structure == "field") == (irreducible and len(poly) - 1 == sol.dim)
+    assert sol.structure == "field" or not irreducible
+
+
+def test_every_verdict_carries_a_checkable_certificate():
+    # the report instances and the zero codes, with the structures found by
+    # the whole-span scan and the seeded sample this solver replaced
+    cases = [(build(params), "non-field" if params.family == "E" else "field")
+             for params in reproduce_report.INSTANCES]
+    cases += [(HermCode(make_tower(p, 1, 3), [], label="zero"), "non-field") for p in (2, 3)]
+    for code, kernel_structure in cases:
+        ideal_structure = "non-field" if code.label == "zero" else "field"
+        for solve, structure in ((kernel_K, kernel_structure), (left_idealiser, ideal_structure),
+                                 (right_idealiser, ideal_structure)):
+            sol = solve(code)
+            assert sol.certified and sol.structure == structure, (code.label, solve.__name__)
+            _assert_certificate(sol, code.tower.p)
+
+
+def test_no_certificate_leaves_the_structure_unknown(monkeypatch, tower_q2):
+    monkeypatch.setattr(equivalence, "_CERTIFICATE_TRIES", 0)
+    code = build_H(tower_q2, 2, 1)
+    sol = kernel_K(code)
+    assert (sol.structure, sol.certified, sol.certificate, sol.field_order) == \
+        ("unknown", False, None, None)
+    # H(3,2,1) is a maximum 2-code and a 1-design, so the kernel check hinges
+    # on the structure, which is now unproved rather than failed
+    report = _run_check("kernel", code, DEFAULT_BUDGET)
+    assert report.verdict == "inconclusive" and report.witness["structure"] == "unknown"
 
 
 def test_solvers_on_a_tower_whose_generator_is_not_x():
@@ -211,8 +305,7 @@ def test_idealiser_solutions_actually_idealise(tower_q3):
 
 def test_zero_code_idealisers_are_not_fields(tower_q3):
     # every Z idealises the zero code, so the idealiser is the whole
-    # q^2-polynomial algebra, which has zero divisors; its order is above
-    # q^4, so the verdict comes from the seeded sample
+    # q^2-polynomial algebra, which has zero divisors
     code = HermCode(tower_q3, [], label="zero")
     for solve in (left_idealiser, right_idealiser):
         sol = solve(code)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,22 @@ def test_rejects_non_prime_p():
 def test_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         make_tower(2, 1, 3, modulus=[1, 0, 0, 0, 0, 0, 1])  # x^6 + 1 = (x^3+1)^2
+
+
+def _mobius(v):
+    factors = gf._factorize(v)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 5), (5, 3)])
+def test_irreducible_counts_match_gauss_formula(p, top):
+    # (1/k) sum_{d | k} mu(d) p^(k/d) monic irreducibles of each degree k;
+    # degree 1 counts every x + c
+    for k in range(1, top + 1):
+        found = sum(gf._is_irreducible(low + (1,), p)
+                    for low in itertools.product(range(p), repeat=k))
+        expected = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        assert found == expected, (p, k)
 
 
 def test_generator_is_primitive(tower_q2, tower_q3):
