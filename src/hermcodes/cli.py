@@ -21,7 +21,6 @@ from typing import Any, Optional
 
 from . import constructions, equivalence, scheme
 from .constructions import ConstructionParams, ParameterError
-from .gf import make_tower
 from .hermitian import HermCode, code_from_dict, code_to_dict, dual_code
 from .scheme import BudgetExceededError, DEFAULT_BUDGET
 
@@ -116,8 +115,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_eigenvalues(args) -> int:
-    p, e = constructions._prime_power(args.q)
-    tower = make_tower(p, e, args.n)
+    tower = constructions.tower_for(args.q, args.n)
     try:
         eig = scheme.eigenvalues(tower, budget=args.budget)
     except BudgetExceededError as ex:
@@ -326,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, analyze, and verify maximum Hermitian rank-metric codes.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand accepts only the options its handler reads
+    def common(p, budget: bool = True):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
-                       help="enumeration budget (elements scanned per analysis)")
-        p.add_argument("--threads", type=parse_threads, default=1,
-                       help="worker processes for rank tallies; output is identical for any value")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings (breaks byte-stability)")
+        if budget:
+            p.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET,
+                           help="enumeration budget (elements scanned per analysis)")
 
     p = sub.add_parser("construct", help="build a code family instance")
     p.add_argument("--family", required=True, choices=["H", "E", "M", "Htilde"])
@@ -343,23 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--gamma", type=int, default=None,
                    help="generator power for gamma (Htilde only)")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("stats", help="size, distributions, design strength")
     p.add_argument("--code", required=True)
+    p.add_argument("--threads", type=parse_threads, default=1,
+                   help="worker processes for rank tallies; output is identical for any value")
     common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("dual", help="compute the dual code file")
     p.add_argument("--code", required=True)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("verify", help="run named checks against a code file")
     p.add_argument("--code", required=True)
     p.add_argument("--checks", default=",".join(CHECKS),
                    help=f"comma list from: {','.join(CHECKS)}")
+    p.add_argument("--timings", action="store_true",
+                   help="include wall-clock timings (breaks byte-stability)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -22,6 +22,7 @@ error rather than silently producing a code outside the space.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -73,14 +74,13 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise ParameterError(f"q = {q} is not a prime power")
 
 
-def tower_for(params: ConstructionParams) -> FieldTower:
-    p, e = _prime_power(params.q)
-    return make_tower(p, e, params.n)
+def tower_for(q: int, n: int) -> FieldTower:
+    return make_tower(*_prime_power(q), n)
 
 
-def build(params: ConstructionParams, tower: FieldTower | None = None) -> HermCode:
+def build(params: ConstructionParams) -> HermCode:
     params.validate()
-    t = tower or tower_for(params)
+    t = tower_for(params.q, params.n)
     if params.family == "H":
         return build_H(t, params.d, params.s)
     if params.family == "E":
@@ -96,11 +96,13 @@ def build(params: ConstructionParams, tower: FieldTower | None = None) -> HermCo
 def _assert_fq_linear(tower: FieldTower, slot_map: Callable[[int], LinPoly],
                       domain_deg: int, rng: random.Random) -> None:
     """Spot-check F_q-linearity of a parameter slot on random pairs."""
-    elems = tower.subfield_elements(domain_deg)
-    scalars = tower.subfield_elements(1)
+    def draw(k: int) -> int:
+        # a random F_p-combination of a basis, so F_{q^k} is never listed
+        return functools.reduce(tower.add, (tower.mul(rng.randrange(tower.p), b)
+                                            for b in tower.basis_over_prime(k)))
     for _ in range(4):
-        a, b = rng.choice(elems), rng.choice(elems)
-        lam = rng.choice(scalars)
+        a, b = draw(domain_deg), draw(domain_deg)
+        lam = draw(1)
         lhs = slot_map(tower.add(a, b))
         rhs = slot_map(a) + slot_map(b)
         if lhs != rhs:

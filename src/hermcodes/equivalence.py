@@ -15,10 +15,10 @@ membership systems over the code span.
 The kernel and both idealisers are F_p-algebras cut out by a linear system,
 and one routine solves all three: a solution acts as a tuple of F_p
 matrices, (N1, N2) for the kernel and (matrix of Z,) for an idealiser,
-multiplied blockwise.  A closed algebra A is a field iff some a in A has an
-irreducible minimal polynomial of degree dim A, as then A = F_p[a], and a
-nonzero a with a reducible one proves A is not a field; that a and its
-polynomial are kept as the certificate of the verdict.
+multiplied blockwise.  A solution span A is a field iff some a in A has an
+irreducible minimal polynomial of degree dim A with all powers in A, as
+then A = F_p[a]; a reducible one, or a power outside A, proves A is not a
+field.  That a and its polynomial are the certificate of the verdict.
 
 Fingerprints collect exact invariants preserved by both equivalence notions.
 The universal support size is reported alongside but never used to certify
@@ -78,20 +78,26 @@ class EndoSolution:
     `pairs` carries (N1, N2) matrix pairs for kernel systems; `polys`
     carries the solution polynomials for idealiser systems.  `structure` is
     "field", "non-field" or "unknown"; only "unknown" is not `certified`.
-    `certificate` is (coefficients, polynomial): the element sum(c_i basis_i)
-    and its monic minimal polynomial, little endian, irreducible of degree
-    `dim` for a field and reducible for a non-field.  It is None for
-    "unknown" and for a span not closed under products.
+    `certificate` is (coefficients, polynomial), None only for "unknown":
+    the element sum(c_i basis_i) and its monic minimal polynomial, little
+    endian, irreducible of degree `dim` with every power in the span for a
+    field, and reducible or with a power outside the span for a non-field.
     """
     dim: int
     order: int
     structure: str
-    field_order: Optional[int]
-    certified: bool
     certificate: Optional[tuple] = None
     pairs: Optional[list] = None
     polys: Optional[list[LinPoly]] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def certified(self) -> bool:
+        return self.structure != "unknown"
+
+    @property
+    def field_order(self) -> Optional[int]:
+        return self.order if self.structure == "field" else None
 
 
 # Seeded elements tried for a minimal-polynomial certificate; the kernels
@@ -103,28 +109,30 @@ def _flat(mats: Iterable[Sequence[Sequence[int]]]) -> list[int]:
     return [x for mat in mats for row in mat for x in row]
 
 
-def _minimal_polynomial(a: tuple, p: int) -> tuple[int, ...]:
+def _minimal_polynomial(a: tuple, p: int, span: FpSpan) -> tuple[tuple[int, ...], bool]:
     """Monic minimal polynomial over F_p, little endian, of a tuple of square
     matrices multiplied blockwise: the one relation among the powers of `a`
-    up to the first that lies in the span of the lower ones."""
+    up to the first that lies in the span of the lower ones.  Also whether
+    every power lies in `span` (the last is a combination of the others)."""
     power = tuple([[int(i == j) for j in range(len(b))] for i in range(len(b))] for b in a)
-    span = FpSpan(len(_flat(a)), p)
+    krylov = FpSpan(len(_flat(a)), p)
     powers = [_flat(power)]
-    while span.add(powers[-1]):
+    while krylov.add(powers[-1]):
         power = tuple(_matmul_p(x, y, p) for x, y in zip(power, a))
         powers.append(_flat(power))
     (relation,) = nullspace_mod_p(list(zip(*powers)), len(powers), p)
-    return tuple(relation)
+    return tuple(relation), all(map(span.contains, powers[:-1]))
 
 
 def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
                    blocks_of: Callable[[list[int]], tuple]) -> tuple[list, FpSpan, EndoSolution]:
     """The F_p-algebra of the solutions v of `rows . v = 0`, where v acts as
     blocks_of(v), a tuple of m x m F_p matrices multiplied blockwise and
-    linear in v.  A span not closed under products is a non-field.  Else
-    seeded nonzero elements are tried: a reducible minimal polynomial proves
-    "non-field", an irreducible one of degree dim proves "field" (Lidl and
-    Niederreiter, Finite Fields, ch. 2-3), and "unknown" is left if none
+    linear in v.  Seeded nonzero elements a are tried.  A power of a outside
+    the span proves the span is not closed, so "non-field"; so does a
+    reducible minimal polynomial.  An irreducible one of degree dim with
+    every power in the span proves "field": the span is then F_p[a] (Lidl
+    and Niederreiter, Finite Fields, ch. 2-3).  "unknown" is left if no try
     settles it.  Returns the solution basis, the F_p-span of the flattened
     blocks and the EndoSolution without pairs, polys or meta.
     """
@@ -136,25 +144,21 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
     for bl in blocks:
         span.add(_flat(bl))
     dim = len(basis)
-    order = p ** dim
-    closed = all(span.contains(_flat(_matmul_p(x, y, p) for x, y in zip(a, b)))
-                 for a in blocks for b in blocks)
-    structure, certificate = ("unknown" if closed else "non-field"), None
+    structure, certificate = "unknown", None
     rng = random.Random(11)
-    for _ in range(_CERTIFICATE_TRIES if closed else 0):
+    for _ in range(_CERTIFICATE_TRIES):
         coeffs = [rng.randrange(p) for _ in range(dim)]
         if not any(coeffs):
             continue
-        poly = _minimal_polynomial(
-            blocks_of([sum(map(operator.mul, coeffs, col)) % p for col in zip(*basis)]), p)
-        irreducible = _is_irreducible(poly, p)
-        if not irreducible or len(poly) - 1 == dim:
-            structure, certificate = ("field" if irreducible else "non-field"), (coeffs, poly)
+        poly, closed = _minimal_polynomial(
+            blocks_of([sum(map(operator.mul, coeffs, col)) % p for col in zip(*basis)]), p, span)
+        # F_p[a] is a field lying in the span; it is the span at degree dim
+        subfield = closed and _is_irreducible(poly, p)
+        if not subfield or len(poly) - 1 == dim:
+            structure, certificate = ("field" if subfield else "non-field"), (coeffs, poly)
             break
-    return basis, span, EndoSolution(
-        dim=dim, order=order, structure=structure,
-        field_order=order if structure == "field" else None,
-        certified=structure != "unknown", certificate=certificate)
+    return basis, span, EndoSolution(dim=dim, order=p ** dim, structure=structure,
+                                     certificate=certificate)
 
 
 def kernel_K(code: HermCode) -> EndoSolution:

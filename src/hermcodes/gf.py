@@ -405,10 +405,6 @@ class FieldTower:
             return self._exp[(self._log[a] * k) % (self.order - 1)]
         return self._encode_poly(_ppowmod(self.digits(a), k, self.modulus, self.p))
 
-    def scalar(self, c: int) -> int:
-        """Embed an integer as an F_p scalar (the constant-digit element)."""
-        return c % self.p
-
     # -- Frobenius, subfields, trace, norm ---------------------------------
 
     def frobenius(self, a: int, k: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .gf import FieldTower
+from .gf import FieldTower, make_tower
 from .linalg import (FpSpan, nullspace_mod_p, rank_subfield_matrix, solve_mod_p,
                      span_walk)
 from .linpoly import LinPoly
@@ -379,13 +379,12 @@ def _file_digits(v, p: int, length: int | None, field: str) -> list[int]:
     return v
 
 
-def code_from_dict(data: dict, tower: FieldTower | None = None) -> HermCode:
+def code_from_dict(data: dict) -> HermCode:
     """The code a `code_to_dict` dictionary describes.
 
     Raises ValueError, naming the field, when the dictionary does not follow
     that schema, holds a digit outside [0, p) or declares d outside 1..n.
     """
-    from .gf import make_tower  # local import to keep module load light
     if not isinstance(data, dict):
         raise ValueError(f"code file must hold a JSON object, not {type(data).__name__}")
     spec = data.get("tower")
@@ -395,7 +394,7 @@ def code_from_dict(data: dict, tower: FieldTower | None = None) -> HermCode:
         if not _is_int(spec.get(key)):
             raise ValueError(f"code file field 'tower.{key}' must be an integer")
     modulus = _file_digits(spec.get("modulus"), spec["p"], None, "tower.modulus")
-    t = tower or make_tower(spec["p"], spec["e"], spec["n"], modulus)
+    t = make_tower(spec["p"], spec["e"], spec["n"], modulus)
     model = data.get("model", "poly")
     label = data.get("label", "")
     declared_d = data.get("declared_d")

@@ -232,16 +232,13 @@ def _random_invertible(tower: FieldTower, rng: random.Random) -> list[list[int]]
             return mat
 
 
-def eigenvalues(tower: FieldTower, n: Optional[int] = None,
-                budget: int = DEFAULT_BUDGET) -> Eigenvalues:
+def eigenvalues(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> Eigenvalues:
     """Exact Q_k(i) = sum over rank-k matrices A of chi(tr(A* B_i)).
 
     Every Q_k(i) is computed for two distinct rank-i representatives (the
     diagonal one and a seeded random congruence of it) and asserted equal,
     and asserted to be a rational integer in Z[zeta_p].  Cached per tower.
     """
-    if n is not None and n != tower.n:
-        raise ValueError(f"table is defined for the tower's n = {tower.n}")
     n = tower.n
     total = tower.q ** (n * n)
     if total > budget:
@@ -542,8 +539,8 @@ def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDG
     the image (the F_p-span of the generators' restrictions) and 0 for any
     other form.  `method="span"` computes the counts that way, from the
     generators alone; `method="enumerate"` (the default, and the oracle)
-    restricts every codeword.  Both apply the same budget to (codeword,
-    subspace) pairs, so they refuse the same calls.
+    restricts every codeword.  Each is charged its own restrictions:
+    dim(C) x subspaces for "span", |C| x subspaces for "enumerate".
     """
     tower = code.tower
     if t < 1 or t > tower.n:
@@ -551,9 +548,10 @@ def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDG
     if method not in ("span", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     subspaces = _subspace_representatives(tower, t)
-    if code.size * len(subspaces) > budget:
+    per_subspace = code.dim if method == "span" else code.size
+    if per_subspace * len(subspaces) > budget:
         raise BudgetExceededError(
-            f"{code.size} words x {len(subspaces)} subspaces exceed budget {budget}")
+            f"{per_subspace} x {len(subspaces)} subspace restrictions exceed budget {budget}")
     forms = _hermitian_forms(tower, t)
     if method == "span":
         p = tower.p

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import hermcodes
 from hermcodes import ConstructionParams, build, scheme
-from hermcodes.cli import CHECKS, _run_check, main
+from hermcodes.cli import CHECKS, _run_check, build_parser, main
 from hermcodes.hermitian import code_to_dict
 from hermcodes.scheme import DEFAULT_BUDGET
 
@@ -334,11 +335,45 @@ def test_malformed_code_file_is_usage_error(tmp_path, capsys, case):
     (["verify", "--checks", "bound", "--budget", "-5"], "--budget"),
     (["stats", "--threads", "0"], "--threads"),
     (["stats", "--threads", "two"], "--threads"),
+    # options a subcommand does not read are not accepted
+    (["verify", "--threads", "2"], "--threads"),
+    (["dual", "--budget", "5"], "--budget"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, needle):
     path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
                      "--d", "2", "--s", "1")
     _assert_usage_error(main([*argv, "--code", path]), capsys, needle)
+
+
+def test_every_accepted_option_is_read_by_its_handler(tmp_path, capsys):
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    argvs = {
+        "construct": ["--family", "H", "--q", "2", "--n", "3", "--d", "2", "--s", "1"],
+        "stats": ["--code", path],
+        "dual": ["--code", path],
+        "verify": ["--code", path],
+        "eigenvalues": ["--q", "2", "--n", "2"],
+        "fingerprint": ["--code", path, "--against", path],
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(argvs) == set(subparsers)
+    for name, argv in argvs.items():
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                reads.add(attr)
+                return super().__getattribute__(attr)
+
+        out = str(tmp_path / f"{name}.out.json")
+        args = parser.parse_args([name, *argv, "--out", out], namespace=Recording())
+        reads.clear()  # argparse itself reads while parsing
+        assert args.func(args) == 0
+        accepted = {a.dest for a in subparsers[name]._actions} - {"help", "command", "func"}
+        assert accepted <= reads, (name, sorted(accepted - reads))
 
 
 def test_python_dash_m_runs_the_cli(capsys):

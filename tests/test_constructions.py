@@ -6,7 +6,7 @@ from hermcodes import (ConstructionParams, ParameterError, build, build_E,
                        build_H, build_Htilde, build_Htilde_dual, build_M,
                        dual_code, find_gamma, inner_distribution,
                        is_hermitian, make_tower)
-from hermcodes.gf import is_square
+from hermcodes.gf import FieldTower, is_square
 from hermcodes.linpoly import QPoly, gq_verify
 
 
@@ -217,6 +217,20 @@ def test_params_dispatch():
         build(ConstructionParams(family="X", q=3, n=3))
     with pytest.raises(ParameterError):
         build(ConstructionParams(family="M", q=6, n=3))     # not a prime power
+
+
+def test_build_never_lists_an_extension_field(monkeypatch):
+    # the linearity spot-check draws F_p-combinations of a basis; listing
+    # F_{q^14} for Htilde(n=7) at q=3 would take 4.8M table-free products
+    listed = []
+    subfield_elements = FieldTower.subfield_elements
+    monkeypatch.setattr(FieldTower, "subfield_elements",
+                        lambda self, k: listed.append(k) or subfield_elements(self, k))
+    code = build(ConstructionParams(family="Htilde", q=3, n=7, s=1))
+    assert code.size == 3 ** 42
+    for family, q, kwargs, size, _ in ALL_INSTANCES:
+        assert build(ConstructionParams(family=family, q=q, n=3, **kwargs)).size == size
+    assert all(k <= 1 for k in listed), listed
 
 
 def test_gamma_override_by_power(towers):

@@ -159,6 +159,28 @@ def test_solver_refuses_a_span_not_closed_under_products():
     assert (sol.order, sol.structure, sol.certified) == (2, "non-field", True)
 
 
+def test_a_power_outside_the_span_is_a_non_field_certificate():
+    # span{A} for A = [[0, 1], [1, 1]]: the minimal polynomial x^2 + x + 1 is
+    # irreducible, but A^0 = I is not in the span, so it is not closed
+    t = make_tower(2, 1, 1)
+    rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]]
+    _, _, sol = _solve_algebra(t, rows, 4, lambda v: ([v[0:2], v[2:4]],))
+    assert (sol.order, sol.structure, sol.certificate) == (2, "non-field", ([1], (1, 1, 1)))
+
+
+def test_certificate_does_not_multiply_the_basis_pairwise(monkeypatch):
+    # the zero code's kernel is M_6(F_2) x M_6(F_2), dim 72: a closure pass
+    # over all pairs of basis elements alone would take 72^2 = 5184 products
+    # of both blocks, while each Krylov run takes at most dim + 1 powers
+    calls = []
+    matmul = equivalence._matmul_p
+    monkeypatch.setattr(equivalence, "_matmul_p",
+                        lambda a, b, p: calls.append(1) or matmul(a, b, p))
+    sol = kernel_K(HermCode(make_tower(2, 1, 3), [], label="zero"))
+    assert (sol.dim, sol.structure) == (72, "non-field")
+    assert len(calls) <= 2 * equivalence._CERTIFICATE_TRIES * (sol.dim + 1)
+
+
 def _rank_by_elimination(rows, p):
     rows = [list(r) for r in rows]
     rank = 0

@@ -288,6 +288,19 @@ def test_extension_count_budget(tower_q3):
         design_by_extension_count(full_space(tower_q3), 1, budget=100, method="span")
 
 
+def test_extension_count_span_route_is_charged_per_generator():
+    # the span route restricts dim(C) generators per subspace, so `designs`
+    # fits the default budget where |C| x subspaces (10^7 and 10^6) does not
+    for params in (ConstructionParams(family="Htilde", q=5, n=3, s=1),
+                   ConstructionParams(family="H", q=4, n=3, d=2, s=1)):
+        code = build(params)
+        with pytest.raises(BudgetExceededError):
+            design_by_extension_count(code, 1, method="enumerate")
+        report = _run_check("designs", code, DEFAULT_BUDGET)
+        assert (report.verdict, report.witness) == \
+            ("pass", {"strength": 2, "extension_uniform": True}), code.label
+
+
 def test_extension_counts_span_route_matches_enumeration(tower_q2, tower_q3, tower_q2_n2):
     # the span route counts from the generators; enumeration restricts
     # every word.  Counts, their order, uniformity and witnesses must agree.
