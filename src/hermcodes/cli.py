@@ -94,14 +94,16 @@ def cmd_construct(args) -> int:
 
 def cmd_stats(args) -> int:
     code = _load_code(args.code)
-    dist = scheme.analyze(code, budget=args.budget, threads=args.threads)
-    d = code.declared_d if code.declared_d is not None else dist.min_distance
+    inner = scheme.cached_inner(code)
+    dual = scheme.cached_dual(code, args.budget)
+    min_distance = scheme.min_rank(inner)
+    d = code.declared_d if code.declared_d is not None else min_distance
     payload = {
         "size": str(code.size),
-        "min_distance": dist.min_distance,
-        "inner": [str(v) for v in dist.inner],
-        "dual_inner": [str(v) for v in dist.dual],
-        "design_strength": scheme.dual_strength(dist.dual),
+        "min_distance": min_distance,
+        "inner": [str(v) for v in inner],
+        "dual_inner": [str(v) for v in dual],
+        "design_strength": scheme.dual_strength(dual),
         "bound_saturated": code.size == scheme.max_code_size(code.tower.q, code.n, d),
     }
     _emit(payload, args.out)
@@ -301,21 +303,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return parse
-
-
-parse_budget = _int_at_least(0)
-parse_threads = _int_at_least(1)
+def parse_budget(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size, distributions, design strength")
     p.add_argument("--code", required=True)
-    p.add_argument("--threads", type=parse_threads, default=1,
-                   help="worker processes for rank tallies; output is identical for any value")
     common(p)
     p.set_defaults(func=cmd_stats)
 

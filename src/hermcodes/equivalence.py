@@ -39,7 +39,7 @@ from .hermitian import (HermCode, HermMatrix, poly_from_gram, poly_from_vector,
                         poly_vector)
 from .linalg import FpSpan, nullspace_mod_p
 from .linpoly import LinPoly
-from .scheme import DEFAULT_BUDGET, analyze, dual_strength
+from .scheme import DEFAULT_BUDGET, cached_dual, cached_inner, dual_strength
 
 
 # -- F_p matrices of additive maps ----------------------------------------------
@@ -302,13 +302,14 @@ class Fingerprint:
 
 
 def invariant_fingerprint(code: HermCode, budget: int = DEFAULT_BUDGET) -> Fingerprint:
-    dist = analyze(code, budget=budget)
+    inner = cached_inner(code)
+    dual = cached_dual(code, budget)
     return Fingerprint(
         label=code.label,
         size=code.size,
-        inner=dist.inner,
-        dual_inner=dist.dual,
-        design_strength=dual_strength(dist.dual),
+        inner=inner,
+        dual_inner=dual,
+        design_strength=dual_strength(dual),
         kernel_order=kernel_K(code).order,
         left_idealiser_order=left_idealiser(code).order,
         right_idealiser_order=right_idealiser(code).order,

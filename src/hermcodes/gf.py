@@ -47,21 +47,6 @@ _ORDER_LIMIT = 1 << 32
 _CHUNK_LIMIT = 1 << 14
 
 
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    if v < 4:
-        return True
-    if v % 2 == 0:
-        return False
-    f = 3
-    while f * f <= v:
-        if v % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factorize(v: int) -> dict[int, int]:
     """Prime factorization by trial division (inputs stay below 2**32)."""
     out: dict[int, int] = {}
@@ -563,7 +548,7 @@ def make_tower(p: int, e: int, n: int, modulus: Sequence[int] | None = None) -> 
     # which a huge p or m would make slow
     if p > _ORDER_LIMIT:
         raise ValueError(f"field order exceeds the supported 2^32 ceiling (p = {p})")
-    if not _is_prime(p):
+    if _factorize(p) != {p: 1}:
         raise ValueError(f"p = {p} is not prime")
     if e < 1 or n < 1:
         raise ValueError("e and n must be positive")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .gf import FieldTower, make_tower
+from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
                         hermitian_matrix_basis)
 from .linalg import FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk
@@ -127,44 +126,18 @@ def pairing(a: HermMatrix, b: HermMatrix) -> CycloInt:
 # -- inner distributions ---------------------------------------------------------
 
 
-def _rank_histogram(tower: FieldTower, gen_states: Sequence[Sequence[int]],
-                    start: Sequence[int]) -> list[int]:
-    n = tower.n
-    ee = 2 * tower.e
-    hist = [0] * (n + 1)
-    for state in span_walk(tower, gen_states, start):
-        nullity = nullity_of_code_columns(tower, state)
-        hist[n - nullity // ee] += 1
-    return hist
-
-
-def _histogram_chunk(args) -> list[int]:
-    tower_spec, gen_states, start = args
-    tower = make_tower(tower_spec["p"], tower_spec["e"], tower_spec["n"],
-                       tower_spec["modulus"])
-    return _rank_histogram(tower, gen_states, start)
-
-
 def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
-    """Rank histogram of the code span (the inner distribution of an additive code)."""
+    """Rank histogram of the code span (the inner distribution of an additive code).
+
+    `threads` is ignored; it is accepted only because the perfbench layer
+    probe still passes `threads=2`.
+    """
     t = code.tower
-    zero_state = [0] * t.m
-    gen_states = [g.image_columns() for g in code.generators]
-    if threads <= 1 or code.dim == 0:
-        return tuple(_rank_histogram(t, gen_states, zero_state))
-    # split on the most significant odometer digits; merged counts are
-    # order-independent integer sums, so the result matches the serial path
-    p = t.p
-    split = 0
-    while p ** split < threads and split < code.dim:
-        split += 1
-    top, rest = gen_states[code.dim - split:], gen_states[:code.dim - split]
-    spec = t.to_dict()
-    tasks = [(spec, rest, list(start)) for start in span_walk(t, top, zero_state)]
-    hist = [0] * (t.n + 1)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_histogram_chunk, tasks):
-            hist = [a + b for a, b in zip(hist, part)]
+    n = t.n
+    ee = 2 * t.e
+    hist = [0] * (n + 1)
+    for state in span_walk(t, [g.image_columns() for g in code.generators], [0] * t.m):
+        hist[n - nullity_of_code_columns(t, state) // ee] += 1
     return tuple(hist)
 
 
@@ -207,12 +180,8 @@ def _congruence(tower: FieldTower, pmat: list[list[int]], b: HermMatrix) -> Herm
     """P* B P, a rank-preserving Hermitian congruence."""
     n = tower.n
     star = [[tower.frobenius(pmat[k][j], 1) for k in range(n)] for j in range(n)]
-
-    def matmul(x, y):
-        return [[_dot(tower, x[j], [y[r][k] for r in range(n)]) for k in range(n)]
-                for j in range(n)]
-
-    return HermMatrix(tower, matmul(matmul(star, list(map(list, b.rows))), pmat))
+    flat = _restrict(tower, star, b.rows)
+    return HermMatrix(tower, [flat[r * n:(r + 1) * n] for r in range(n)])
 
 
 def _dot(tower: FieldTower, xs, ys):
@@ -332,10 +301,10 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
 # -- per-code memo: each distribution is enumerated at most once per code object --
 
 
-def cached_inner(code: HermCode, threads: int = 1) -> tuple[int, ...]:
+def cached_inner(code: HermCode) -> tuple[int, ...]:
     """inner_distribution(code), computed once and kept in code.cache."""
     if "inner" not in code.cache:
-        inner = inner_distribution(code, threads=threads)
+        inner = inner_distribution(code)
         if inner[0] != 1 or sum(inner) != code.size:
             raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
         code.cache["inner"] = inner
@@ -372,22 +341,6 @@ def max_code_size(q: int, n: int, d: int) -> int:
 def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
     """Largest t such that the code is a t-design (see dual_strength)."""
     return dual_strength(cached_dual(code, budget))
-
-
-@dataclass
-class Distribution:
-    """Exact inner and dual inner distribution of an additive code."""
-    inner: tuple[int, ...]
-    dual: tuple[int, ...]
-
-    @property
-    def min_distance(self) -> int:
-        return min_rank(self.inner)
-
-
-def analyze(code: HermCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Distribution:
-    """Both distributions, each computed once per code object."""
-    return Distribution(inner=cached_inner(code, threads), dual=cached_dual(code, budget))
 
 
 # -- negative q-binomials and the closed-form distribution -------------------------

@@ -206,14 +206,6 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["stats", "--code", "/nonexistent/x.json"]) == 2
 
 
-def test_threads_flag_does_not_change_output(tmp_path, capsys):
-    path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3",
-                     "--d", "2", "--s", "1")
-    _, out1 = run(["stats", "--code", path], capsys)
-    _, out2 = run(["stats", "--code", path, "--threads", "3"], capsys)
-    assert out1 == out2
-
-
 # -- the per-code memo ------------------------------------------------------------
 
 
@@ -222,7 +214,7 @@ def test_check_battery_enumerates_code_and_dual_once(monkeypatch):
     seen = []
     real = scheme.inner_distribution
     monkeypatch.setattr(scheme, "inner_distribution",
-                        lambda c, threads=1: seen.append(c.label) or real(c, threads))
+                        lambda c: seen.append(c.label) or real(c))
     reports = [_run_check(name, code, DEFAULT_BUDGET) for name in CHECKS]
     assert [r.check for r in reports] == list(CHECKS)
     assert all(r.verdict == "pass" for r in reports)
@@ -338,6 +330,7 @@ def test_malformed_code_file_is_usage_error(tmp_path, capsys, case):
     # options a subcommand does not read are not accepted
     (["verify", "--threads", "2"], "--threads"),
     (["dual", "--budget", "5"], "--budget"),
+    (["stats", "--threads", "3"], "--threads"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, needle):
     path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
@@ -376,16 +369,28 @@ def test_every_accepted_option_is_read_by_its_handler(tmp_path, capsys):
         assert accepted <= reads, (name, sorted(accepted - reads))
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    args = ["construct", "--family", "H", "--q", "2", "--n", "3", "--d", "2", "--s", "1"]
+def _fresh_python(*argv):
+    """Run a new interpreter that imports this checkout's package."""
     src = str(Path(hermcodes.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "hermcodes", *args],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    args = ["construct", "--family", "H", "--q", "2", "--n", "3", "--d", "2", "--s", "1"]
+    proc = _fresh_python("-m", "hermcodes", *args)
     assert proc.returncode == 0, proc.stderr
     assert main(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_cli_import_starts_no_process_machinery():
+    proc = _fresh_python("-c", "import sys, hermcodes.cli; print(sorted(m for m in "
+                         "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- fuzzing the command line ----------------------------------------------------

@@ -36,8 +36,9 @@ def test_tower_orders(tower_q2, tower_q3, tower_q5):
 
 
 def test_rejects_non_prime_p():
-    with pytest.raises(ValueError):
-        make_tower(4, 1, 3)
+    for p in (0, 1, 4, 9, 15):
+        with pytest.raises(ValueError, match="not prime"):
+            make_tower(p, 1, 3)
 
 
 def test_rejects_reducible_modulus():

@@ -123,11 +123,6 @@ def test_inner_distribution_full_space(tower_q2):
     assert hist == (1, 21, 210, 280)
 
 
-def test_inner_distribution_threads_match(tower_q3):
-    c = build_H(tower_q3, 2, 1)
-    assert inner_distribution(c, threads=3) == inner_distribution(c)
-
-
 def test_pairwise_distribution_matches_histogram_for_additive_sets(tower_q2):
     mats = matrix_span(tower_q2, build_M(tower_q2).matrix_generators[:4])
     hist = pairwise_inner_distribution(mats)
