@@ -94,8 +94,9 @@ def cmd_construct(args) -> int:
 
 def cmd_stats(args) -> int:
     code = _load_code(args.code)
-    inner = scheme.cached_inner(code)
+    # the dual first, so the inner distribution is derived from it
     dual = scheme.cached_dual(code, args.budget)
+    inner = scheme.cached_inner(code)
     min_distance = scheme.min_rank(inner)
     d = code.declared_d if code.declared_d is not None else min_distance
     payload = {
@@ -209,8 +210,16 @@ def _check_theorem3(code: HermCode, d: int, budget: int):
 
 def _check_dual(code: HermCode, d: int, budget: int):
     d1 = scheme.cached_dual(code, budget)
-    d2 = scheme.dual_inner_distribution(code, "eigenvalues", budget=budget,
-                                        inner=scheme.cached_inner(code))
+    inner = scheme.cached_inner(code)
+    if code.cache["inner_route"] == "dual":
+        # an inner distribution derived from d1 transforms back into d1
+        # whatever the dual code was, so enumerate the code for a second route
+        if code.size > budget:
+            raise BudgetExceededError(f"code has {code.size} words, budget {budget}")
+        enumerated = scheme.inner_distribution(code)
+        if enumerated != inner:
+            return "fail", {"enumerated": list(enumerated), "derived_from_dual": list(inner)}
+    d2 = scheme.dual_inner_distribution(code, "eigenvalues", budget=budget, inner=inner)
     if d1 != d2:
         return "fail", {"dual_code_method": list(d1), "eigenvalue_method": list(d2)}
     return "pass", None

@@ -302,8 +302,8 @@ class Fingerprint:
 
 
 def invariant_fingerprint(code: HermCode, budget: int = DEFAULT_BUDGET) -> Fingerprint:
-    inner = cached_inner(code)
     dual = cached_dual(code, budget)
+    inner = cached_inner(code)  # derived from the dual just enumerated
     return Fingerprint(
         label=code.label,
         size=code.size,

@@ -261,7 +261,7 @@ class HermCode:
     def iter_span(self) -> Iterable[LinPoly]:
         """All codewords, by odometer over F_p generator coordinates."""
         t = self.tower
-        for cur in span_walk(t, [g.coeffs for g in self.generators], [0] * t.n):
+        for cur in span_walk(t, [g.coeffs for g in self.generators], t.n):
             yield LinPoly(t, cur)
 
     def elements(self) -> list[LinPoly]:
@@ -303,7 +303,7 @@ def matrix_span(tower: FieldTower, generators: Sequence[HermMatrix]) -> list[Her
     n = tower.n
     states = [g.entry_vector() for g in generators]
     return [HermMatrix(tower, [state[r * n:(r + 1) * n] for r in range(n)])
-            for state in span_walk(tower, states, [0] * (n * n))]
+            for state in span_walk(tower, states, n * n)]
 
 
 def matrix_code_rank_distribution(matrices: Iterable[HermMatrix]) -> tuple[int, ...]:

@@ -143,21 +143,19 @@ class FpSpan:
         return self.dim > dim
 
 
-def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]],
-              start: Sequence[int]):
-    """Yield start + every F_p-combination of the generator state vectors,
-    one amortized vector add per step.
+def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int):
+    """Yield every F_p-combination of the generator state vectors, each of
+    `width` element codes, one amortized vector add per step.
 
-    States are vectors of element codes added entrywise.  The order is an
-    odometer over the generator coordinates, the first generator's digit
-    turning fastest.  The yielded list is a reused buffer; consumers must
-    copy what they keep.
+    States are vectors of element codes added entrywise, starting from zero.
+    The order is an odometer over the generator coordinates, the first
+    generator's digit turning fastest.  The yielded list is a reused buffer;
+    consumers must copy what they keep.
     """
     p = tower.p
     add = tower.add
     k = len(gen_states)
-    width = len(start)
-    cur = list(start)
+    cur = [0] * width
     yield cur
     digits = [0] * k
     for _ in range(p ** k - 1):

@@ -5,6 +5,15 @@ distributions come from two independent routes that must agree: enumeration
 of the dual code, and the eigenvalue transform A'_k = sum_i Q_k(i) A_i with
 Q computed by exact character sums over the full matrix space.  Character
 values live in Z[zeta_p] with the vanishing-sum relation, never in floats.
+
+The eigenvalues also have a closed form in negative q-binomials
+(`closed_form_eigenvalues`), and Q Q = q^(n^2) I.  So once the per-code memo
+holds the dual distribution, `cached_inner` derives the inner one as
+A = Q A' / q^(n^2) instead of enumerating the code, which pays wherever the
+dual is the smaller side.  A derived distribution must divide exactly, be
+non-negative, have A_0 = 1 and sum to |C|, or ConsistencyError is raised.
+Transforming it back only reproduces the dual, so a check that compares the
+two routes enumerates the code itself when the memo's inner came that way.
 """
 
 from __future__ import annotations
@@ -136,7 +145,7 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     n = t.n
     ee = 2 * t.e
     hist = [0] * (n + 1)
-    for state in span_walk(t, [g.image_columns() for g in code.generators], [0] * t.m):
+    for state in span_walk(t, [g.image_columns() for g in code.generators], t.m):
         hist[n - nullity_of_code_columns(t, state) // ee] += 1
     return tuple(hist)
 
@@ -242,7 +251,7 @@ def eigenvalues(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> Eigenvalues:
     tallies = [[[0] * p for _ in range(n + 1)] for _ in range(nreps)]
     rank_counts = [0] * (n + 1)
     n2 = n * n
-    for state in span_walk(tower, gen_states, [0] * (n2 + nreps)):
+    for state in span_walk(tower, gen_states, n2 + nreps):
         rows = [state[r * n:(r + 1) * n] for r in range(n)]
         rk = rank_subfield_matrix(tower, rows)
         rank_counts[rk] += 1
@@ -302,12 +311,23 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
 
 
 def cached_inner(code: HermCode) -> tuple[int, ...]:
-    """inner_distribution(code), computed once and kept in code.cache."""
+    """The inner distribution, computed once and kept in code.cache.
+
+    When code.cache already holds the dual distribution (see `cached_dual`),
+    the inner one is derived from it by `inner_from_dual`; otherwise the code
+    is enumerated.  The route taken, "dual" or "code", is kept as
+    code.cache["inner_route"].  This never builds the dual itself.
+    """
     if "inner" not in code.cache:
-        inner = inner_distribution(code)
+        dual = code.cache.get("dual")
+        if dual is None:
+            inner, route = inner_distribution(code), "code"
+        else:
+            inner, route = inner_from_dual(dual, code.tower.q, code.n), "dual"
         if inner[0] != 1 or sum(inner) != code.size:
             raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
         code.cache["inner"] = inner
+        code.cache["inner_route"] = route
     return code.cache["inner"]
 
 
@@ -343,7 +363,7 @@ def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
     return dual_strength(cached_dual(code, budget))
 
 
-# -- negative q-binomials and the closed-form distribution -------------------------
+# -- negative q-binomials and the closed forms --------------------------------------
 
 
 def neg_q_binom(m: int, l: int, q: int) -> int:
@@ -364,6 +384,34 @@ def neg_q_binom(m: int, l: int, q: int) -> int:
     if val.denominator != 1:
         raise AssertionError(f"negative q-binomial ({m},{l}) at q={q} not integral")
     return int(val)
+
+
+def closed_form_eigenvalues(q: int, n: int) -> Eigenvalues:
+    """Q_k(i) = sum_{j=0}^{k} (-1)^{k-j} b^{C(k-j,2)} c^j [n-j, n-k]_b [n-i, j]_b
+    with b = -q and c = -(-q)^n (K.-U. Schmidt, "Hermitian rank distance
+    codes", 2018); rank_counts is column 0.  `eigenvalues` is its oracle."""
+    b, c = -q, -((-q) ** n)
+    table = tuple(
+        tuple(sum((-1) ** (k - j) * b ** ((k - j) * (k - j - 1) // 2) * c ** j
+                  * neg_q_binom(n - j, n - k, q) * neg_q_binom(n - i, j, q)
+                  for j in range(k + 1))
+              for i in range(n + 1))
+        for k in range(n + 1))
+    return Eigenvalues(q=q, n=n, table=table, rank_counts=tuple(row[0] for row in table))
+
+
+def inner_from_dual(dual: Sequence[int], q: int, n: int) -> tuple[int, ...]:
+    """A = Q A' / q^(n^2), the inner distribution of C from its dual inner
+    distribution A' (normalised A'_0 = |C|), since Q Q = q^(n^2) I.  Every
+    entry must divide exactly and be non-negative."""
+    total = q ** (n * n)
+    inner = []
+    for v in closed_form_eigenvalues(q, n).transform(dual):
+        if v < 0 or v % total:
+            raise ConsistencyError(f"dual distribution {tuple(dual)} does not transform "
+                                   f"to an inner distribution")
+        inner.append(v // total)
+    return tuple(inner)
 
 
 def theorem_distribution(n: int, d: int, q: int, size: int) -> tuple[int, ...]:

@@ -221,6 +221,45 @@ def test_check_battery_enumerates_code_and_dual_once(monkeypatch):
     assert seen == [code.label, code.label + "^perp"]
 
 
+def test_stats_enumerates_only_the_dual(tmp_path, capsys, monkeypatch):
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    seen = []
+    real = scheme.inner_distribution
+    monkeypatch.setattr(scheme, "inner_distribution",
+                        lambda c: seen.append(c.label) or real(c))
+    rc, out = run(["stats", "--code", path], capsys)
+    assert rc == 0
+    assert json.loads(out)["inner"] == ["1", "0", "21", "42"]
+    assert seen == ["H(n=3,d=2,s=1,q=2)^perp"]
+
+
+def test_dual_check_on_a_derived_inner_enumerates_the_code(tmp_path, capsys, monkeypatch):
+    # `dual` first on a fresh code derives the inner distribution from the
+    # dual; a wrong dual code (here the dual of M, of the same size) must
+    # still fail, which a transform back into the dual would never show
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    real = scheme.dual_code
+    monkeypatch.setattr(scheme, "dual_code", lambda c: real(hermcodes.build_M(c.tower)))
+    rc, out = run(["verify", "--code", path, "--checks", "dual"], capsys)
+    assert rc == 1
+    [report] = json.loads(out)["reports"]
+    assert report["verdict"] == "fail"
+    assert report["witness"]["enumerated"] == ["1", "0", "21", "42"]
+
+
+def test_dual_check_charges_the_code_walk_against_its_budget():
+    # the dual of H(3,2,1) at q=2 has 8 words and the code 64
+    code = build(ConstructionParams(family="H", q=2, n=3, d=2, s=1))
+    scheme.cached_dual(code, 10)
+    report = _run_check("dual", code, 10)
+    assert report.verdict == "inconclusive"
+    assert "code has 64 words" in report.witness["reason"]
+    assert code.cache["inner_route"] == "dual"
+    assert _run_check("dual", code, DEFAULT_BUDGET).verdict == "pass"
+
+
 def test_verify_small_budget_never_builds_the_dual(tmp_path, capsys, monkeypatch):
     path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3",
                      "--d", "2", "--s", "1")

@@ -15,12 +15,11 @@ def test_span_walk_matches_product_enumeration(p, k):
     rng = random.Random(10 * p + k)
     width = 3
     gens = [[rng.randrange(t.order) for _ in range(width)] for _ in range(k)]
-    start = [rng.randrange(1, t.order) for _ in range(width)]
-    walked = [tuple(state) for state in span_walk(t, gens, start)]
-    # start + sum c_i g_i, with c_0 as the fastest-turning coordinate
+    walked = [tuple(state) for state in span_walk(t, gens, width)]
+    # sum c_i g_i, with c_0 as the fastest-turning coordinate
     expected = []
     for rev in itertools.product(range(p), repeat=k):
-        vec = list(start)
+        vec = [0] * width
         for c, g in zip(reversed(rev), gens):
             for _ in range(c):
                 vec = [t.add(a, b) for a, b in zip(vec, g)]

@@ -15,7 +15,9 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import reproduce_report  # noqa: E402
 from hermcodes import build  # noqa: E402
 from hermcodes.cli import _run_check, main  # noqa: E402
-from hermcodes.scheme import DEFAULT_BUDGET  # noqa: E402
+from hermcodes.hermitian import code_from_dict  # noqa: E402
+from hermcodes.scheme import (DEFAULT_BUDGET, cached_dual, cached_inner,  # noqa: E402
+                              inner_distribution)
 
 
 def _golden(workload):
@@ -55,6 +57,7 @@ def test_kernel_and_idealiser_reports_match_golden_outputs():
 
 
 @pytest.mark.parametrize("workload, name", [("stats-char2", "H-q4-n3"),
+                                            ("stats-char2", "H-q2-n5"),
                                             ("stats-odd", "Htilde-q5-n3"),
                                             ("stats-odd", "H-q3-n4")])
 def test_stats_match_golden_outputs(tmp_path, workload, name):
@@ -62,6 +65,20 @@ def test_stats_match_golden_outputs(tmp_path, workload, name):
     rc = main(["stats", "--code", str(ROOT / "perfbench" / "inputs" / f"{name}.json"),
                "--out", str(out)])
     assert {"exit": rc, "output": out.read_text()} == _golden(workload)[f"stats {name}"]
+
+
+def _stats_input(name):
+    return code_from_dict(json.loads((ROOT / "perfbench" / "inputs" / f"{name}.json")
+                                     .read_text(encoding="utf-8")))
+
+
+def test_inner_derived_from_the_dual_matches_enumeration():
+    codes = [build(params) for params in reproduce_report.INSTANCES]
+    codes += [_stats_input(name) for name in ("H-q4-n3", "Htilde-q5-n3", "H-q3-n4")]
+    for code in codes:
+        cached_dual(code)
+        assert cached_inner(code) == inner_distribution(code), code.label
+        assert code.cache["inner_route"] == "dual"
 
 
 def test_construct_and_dual_match_golden_outputs(tmp_path):

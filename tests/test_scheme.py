@@ -13,6 +13,7 @@ from hermcodes import (CycloInt, HermCode, build_E, build_H, build_M,
                        neg_q_binom, pairing, theorem_distribution)
 from hermcodes import ConstructionParams, build, scheme
 from hermcodes.cli import _run_check
+from hermcodes.constructions import tower_for
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, full_rank_residue,
                               pairwise_inner_distribution)
 from hermcodes.hermitian import dual_code, matrix_span
@@ -154,6 +155,21 @@ def test_eigenvalue_structural_identities(tower_q2, tower_q3):
         for i in range(1, n + 1):                     # character orthogonality
             assert sum(eig.table[k][i] for k in range(n + 1)) == 0
         assert sum(eig.rank_counts) == t.q ** (n * n)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_closed_form_eigenvalues_match_character_sums(q, n):
+    oracle = eigenvalues(tower_for(q, n))
+    closed = scheme.closed_form_eigenvalues(q, n)
+    assert closed.table == oracle.table
+    assert closed.rank_counts == oracle.rank_counts
+
+
+def test_inner_from_dual_rejects_an_impossible_dual():
+    # (64, 0, 0, 448) is the dual distribution of H(3,2,1) at q=2
+    assert scheme.inner_from_dual((64, 0, 0, 448), 2, 3) == (1, 0, 21, 42)
+    with pytest.raises(scheme.ConsistencyError):
+        scheme.inner_from_dual((64, 8, 0, 440), 2, 3)
 
 
 def test_eigenvalue_budget_guard(tower_q3):
