@@ -25,7 +25,8 @@ INSTANCES = [
     ConstructionParams(family="Htilde", q=5, n=3, s=1),
 ]
 
-# the character-sum route needs q^(n^2) enumeration; skip it at q = 5
+# q = 5 skips dual and designs, which both pass there, only until the
+# benchmark's golden outputs record those operations (ROADMAP item 12)
 LIGHT_CHECKS = ("bound", "mindist", "theorem3", "kernel", "idealisers")
 
 

@@ -188,11 +188,13 @@ def _check_bound(code: HermCode, d: int, budget: int):
 
 
 def _check_mindist(code: HermCode, d: int, budget: int):
-    mindist = scheme.min_rank(scheme.cached_inner(code))
+    mindist = scheme.min_rank(scheme.cached_inner(code, budget))
     if code.declared_d is None or mindist == code.declared_d:
         return "pass", None
     witness = {"declared_d": code.declared_d, "min_rank": mindist}
-    if mindist:  # the zero code has no nonzero word to show
+    # the zero code has no nonzero word to show, and a code over the budget
+    # fails on its distribution alone
+    if mindist and code.size <= budget:
         offender = next(f for f in code.iter_span() if not f.is_zero() and f.rank() == mindist)
         witness["codeword"] = [list(code.tower.digits(c)) for c in offender.coeffs]
     return "fail", witness
@@ -201,7 +203,7 @@ def _check_mindist(code: HermCode, d: int, budget: int):
 def _check_theorem3(code: HermCode, d: int, budget: int):
     if not (_maximum_design(code, d, budget) and d >= 1):
         return "inconclusive", {"reason": "code is not a maximum (n-d)-design instance"}
-    inner = scheme.cached_inner(code)
+    inner = scheme.cached_inner(code, budget)
     predicted = scheme.theorem_distribution(code.n, d, code.tower.q, code.size)
     if inner != predicted:
         return "fail", {"enumerated": list(inner), "predicted": list(predicted)}
@@ -210,7 +212,7 @@ def _check_theorem3(code: HermCode, d: int, budget: int):
 
 def _check_dual(code: HermCode, d: int, budget: int):
     d1 = scheme.cached_dual(code, budget)
-    inner = scheme.cached_inner(code)
+    inner = scheme.cached_inner(code, budget)
     if code.cache["inner_route"] == "dual":
         # an inner distribution derived from d1 transforms back into d1
         # whatever the dual code was, so enumerate the code for a second route
@@ -219,7 +221,10 @@ def _check_dual(code: HermCode, d: int, budget: int):
         enumerated = scheme.inner_distribution(code)
         if enumerated != inner:
             return "fail", {"enumerated": list(enumerated), "derived_from_dual": list(inner)}
-    d2 = scheme.dual_inner_distribution(code, "eigenvalues", budget=budget, inner=inner)
+    # the second route transforms inner(C) by Schmidt's closed-form
+    # eigenvalues, which tests pin to the character sums; d1 passed the
+    # constraints of a dual distribution, so d2 meets them iff they agree
+    d2 = scheme.closed_form_eigenvalues(code.tower.q, code.n).transform(inner)
     if d1 != d2:
         return "fail", {"dual_code_method": list(d1), "eigenvalue_method": list(d2)}
     return "pass", None
@@ -283,7 +288,7 @@ def _run_check(name: str, code: HermCode, budget: int) -> Report:
     try:
         d = code.declared_d
         if d is None:
-            d = scheme.min_rank(scheme.cached_inner(code))
+            d = scheme.min_rank(scheme.cached_inner(code, budget))
         verdict, witness = check(code, d, budget)
     except BudgetExceededError as ex:
         verdict, witness = "inconclusive", {"reason": str(ex)}

@@ -2,18 +2,20 @@
 
 Inner distributions are exact rank histograms of the code span; dual inner
 distributions come from two independent routes that must agree: enumeration
-of the dual code, and the eigenvalue transform A'_k = sum_i Q_k(i) A_i with
-Q computed by exact character sums over the full matrix space.  Character
-values live in Z[zeta_p] with the vanishing-sum relation, never in floats.
+of the dual code, and the eigenvalue transform A'_k = sum_i Q_k(i) A_i of the
+enumerated code.  `eigenvalues` computes Q by exact character sums over the
+full matrix space, with character values in Z[zeta_p] under the
+vanishing-sum relation, never in floats.
 
 The eigenvalues also have a closed form in negative q-binomials
-(`closed_form_eigenvalues`), and Q Q = q^(n^2) I.  So once the per-code memo
-holds the dual distribution, `cached_inner` derives the inner one as
-A = Q A' / q^(n^2) instead of enumerating the code, which pays wherever the
-dual is the smaller side.  A derived distribution must divide exactly, be
-non-negative, have A_0 = 1 and sum to |C|, or ConsistencyError is raised.
-Transforming it back only reproduces the dual, so a check that compares the
-two routes enumerates the code itself when the memo's inner came that way.
+(`closed_form_eigenvalues`), pinned to the character sums by tests, and
+Q Q = q^(n^2) I.  So `cached_inner` enumerates whichever of C and C-perp is
+smaller: when |C-perp| = q^(n^2)/|C| is below |C| and fits the budget, it
+enumerates the dual and derives the inner distribution as A = Q A' / q^(n^2).
+A derived distribution must divide exactly, be non-negative, have A_0 = 1
+and sum to |C|, or ConsistencyError is raised.  Transforming it back only
+reproduces the dual, so a check that compares the two routes enumerates the
+code itself when the memo's inner came that way.
 """
 
 from __future__ import annotations
@@ -283,13 +285,11 @@ def eigenvalues(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> Eigenvalues:
 
 
 def dual_inner_distribution(code: HermCode, method: str = "dual-code",
-                            budget: int = DEFAULT_BUDGET,
-                            inner: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-    """A'_k, by dual-code enumeration or by the eigenvalue transform.
-
-    The eigenvalue route transforms `inner` when given, and otherwise
-    enumerates the code.  Both methods return exact integers and are
-    asserted non-negative, divisible by |C|, and normalized with A'_0 = |C|.
+                            budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """A'_k, by dual-code enumeration or by the character-sum eigenvalue
+    transform of the enumerated code.  Both methods return exact integers and
+    are asserted non-negative, divisible by |C|, and normalized with
+    A'_0 = |C|.
     """
     size = code.size
     if method == "dual-code":
@@ -299,7 +299,7 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
         out = tuple(size * h for h in inner_distribution(dual))
     elif method == "eigenvalues":
         eig = eigenvalues(code.tower, budget=budget)
-        out = eig.transform(inner if inner is not None else inner_distribution(code))
+        out = eig.transform(inner_distribution(code))
     else:
         raise ValueError(f"unknown method {method!r}")
     if out[0] != size or any(v < 0 or v % size for v in out):
@@ -310,20 +310,26 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
 # -- per-code memo: each distribution is enumerated at most once per code object --
 
 
-def cached_inner(code: HermCode) -> tuple[int, ...]:
+def cached_inner(code: HermCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """The inner distribution, computed once and kept in code.cache.
 
-    When code.cache already holds the dual distribution (see `cached_dual`),
-    the inner one is derived from it by `inner_from_dual`; otherwise the code
-    is enumerated.  The route taken, "dual" or "code", is kept as
-    code.cache["inner_route"].  This never builds the dual itself.
+    It comes from the smaller side.  When |C-perp| = q^(n^2)/|C| is strictly
+    below |C| and fits the budget, the dual is enumerated once (see
+    `cached_dual`) and the inner distribution is derived from it by
+    `inner_from_dual`, as it is when code.cache already holds the dual.
+    Otherwise the code is enumerated; the budget does not bind that walk.
+    The route taken, "dual" or "code", is kept as code.cache["inner_route"].
     """
     if "inner" not in code.cache:
+        q, n = code.tower.q, code.n
+        dual_size = q ** (n * n) // code.size
         dual = code.cache.get("dual")
+        if dual is None and dual_size < code.size and dual_size <= budget:
+            dual = cached_dual(code, budget)
         if dual is None:
             inner, route = inner_distribution(code), "code"
         else:
-            inner, route = inner_from_dual(dual, code.tower.q, code.n), "dual"
+            inner, route = inner_from_dual(dual, q, n), "dual"
         if inner[0] != 1 or sum(inner) != code.size:
             raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
         code.cache["inner"] = inner

@@ -166,6 +166,27 @@ def test_mindist_of_a_file_with_no_generators_fails_without_a_codeword(tmp_path,
     assert rep["witness"] == {"declared_d": "2", "min_rank": "0"}
 
 
+def test_mindist_witness_walk_is_charged_against_the_budget(tmp_path, capsys):
+    # H(3,2,1) at q=2 has minimum rank 2; declare 3 so that mindist fails
+    path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
+                     "--d", "2", "--s", "1")
+    data = json.loads(open(path).read())
+    data["declared_d"] = 3
+    bad = tmp_path / "d3.json"
+    bad.write_text(json.dumps(data))
+    rc, out = run(["verify", "--code", str(bad), "--checks", "mindist",
+                   "--budget", "10"], capsys)
+    assert rc == 1
+    [rep] = json.loads(out)["reports"]
+    assert rep["verdict"] == "fail"
+    assert rep["witness"] == {"declared_d": "3", "min_rank": "2"}
+    rc, out = run(["verify", "--code", str(bad), "--checks", "mindist"], capsys)
+    assert rc == 1
+    [rep] = json.loads(out)["reports"]
+    assert rep["verdict"] == "fail"
+    assert len(rep["witness"]["codeword"]) == 3
+
+
 def test_dual_subcommand(tmp_path, capsys):
     path = construct(tmp_path, capsys, "Htilde", "--q", "3", "--n", "3", "--s", "1")
     dual_path = tmp_path / "dual.json"
@@ -218,7 +239,31 @@ def test_check_battery_enumerates_code_and_dual_once(monkeypatch):
     reports = [_run_check(name, code, DEFAULT_BUDGET) for name in CHECKS]
     assert [r.check for r in reports] == list(CHECKS)
     assert all(r.verdict == "pass" for r in reports)
-    assert seen == [code.label, code.label + "^perp"]
+    # mindist takes the 8-word dual over the 64-word code; dual then walks C
+    assert seen == [code.label + "^perp", code.label]
+
+
+def test_battery_on_Htilde_q5_walks_only_the_smaller_dual(tmp_path, capsys, monkeypatch):
+    # 15,625 words against a 125-word dual
+    path = construct(tmp_path, capsys, "Htilde", "--q", "5", "--n", "3", "--s", "1")
+    seen = []
+    real = scheme.inner_distribution
+    monkeypatch.setattr(scheme, "inner_distribution",
+                        lambda c: seen.append(c.label) or real(c))
+    rc, out = run(["verify", "--code", path, "--checks", "bound,mindist,theorem3"], capsys)
+    assert rc == 0
+    data = json.loads(out)
+    assert [r["verdict"] for r in data["reports"]] == ["pass"] * 3
+    assert seen == [data["code"] + "^perp"]
+
+
+def test_full_verify_of_Htilde_q5_passes_the_dual_check(tmp_path, capsys):
+    # the character-sum table would need 5^9 matrices; the closed form needs none
+    path = construct(tmp_path, capsys, "Htilde", "--q", "5", "--n", "3", "--s", "1")
+    rc, out = run(["verify", "--code", path], capsys)
+    data = json.loads(out)
+    assert {r["check"]: r["verdict"] for r in data["reports"]} == dict.fromkeys(CHECKS, "pass")
+    assert rc == 0
 
 
 def test_stats_enumerates_only_the_dual(tmp_path, capsys, monkeypatch):

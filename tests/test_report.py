@@ -13,10 +13,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import reproduce_report  # noqa: E402
-from hermcodes import build  # noqa: E402
+from hermcodes import build, dual_code  # noqa: E402
 from hermcodes.cli import _run_check, main  # noqa: E402
 from hermcodes.hermitian import code_from_dict  # noqa: E402
 from hermcodes.scheme import (DEFAULT_BUDGET, cached_dual, cached_inner,  # noqa: E402
+                              closed_form_eigenvalues, dual_inner_distribution,
                               inner_distribution)
 
 
@@ -79,6 +80,20 @@ def test_inner_derived_from_the_dual_matches_enumeration():
         cached_dual(code)
         assert cached_inner(code) == inner_distribution(code), code.label
         assert code.cache["inner_route"] == "dual"
+
+
+def test_closed_form_transform_matches_character_sums_on_report_codes():
+    # the dual check's closed-form route against its oracle, C and C-perp alike
+    seen = 0
+    for params in reproduce_report.INSTANCES:
+        if params.q > 3:
+            continue
+        code = build(params)
+        for c in (code, dual_code(code)):
+            closed = closed_form_eigenvalues(c.tower.q, c.n).transform(inner_distribution(c))
+            assert closed == dual_inner_distribution(c, "eigenvalues"), c.label
+            seen += 1
+    assert seen == 14
 
 
 def test_construct_and_dual_match_golden_outputs(tmp_path):

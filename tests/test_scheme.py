@@ -195,9 +195,12 @@ def test_builds_share_one_tower_and_eigenvalue_table(monkeypatch):
     real = scheme._random_invertible  # runs once per computed table
     monkeypatch.setattr(scheme, "_random_invertible",
                         lambda t, rng: tables.append(t) or real(t, rng))
+    # the dual check transforms by the closed form: no character-sum table
     for code in (h, m):
         assert _run_check("dual", code, DEFAULT_BUDGET).verdict == "pass"
-    assert len(tables) == 1
+    assert tables == []
+    assert eigenvalues(h.tower) is eigenvalues(h.tower)
+    assert tables == [h.tower]
 
 
 # -- dual inner distribution and designs ---------------------------------------------
