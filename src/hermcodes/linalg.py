@@ -143,19 +143,21 @@ class FpSpan:
         return self.dim > dim
 
 
-def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int):
+def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int,
+              start: Sequence[int] | None = None):
     """Yield every F_p-combination of the generator state vectors, each of
-    `width` element codes, one amortized vector add per step.
+    `width` element codes, added to `start` (default zero), one amortized
+    vector add per step.
 
-    States are vectors of element codes added entrywise, starting from zero.
-    The order is an odometer over the generator coordinates, the first
-    generator's digit turning fastest.  The yielded list is a reused buffer;
-    consumers must copy what they keep.
+    States are vectors of element codes added entrywise, starting from
+    `start`.  The order is an odometer over the generator coordinates, the
+    first generator's digit turning fastest.  The yielded list is a reused
+    buffer; consumers must copy what they keep.
     """
     p = tower.p
     add = tower.add
     k = len(gen_states)
-    cur = [0] * width
+    cur = [0] * width if start is None else list(start)
     yield cur
     digits = [0] * k
     for _ in range(p ** k - 1):
@@ -171,6 +173,20 @@ def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int
         for idx in range(width):
             cur[idx] = add(cur[idx], gs[idx])
         yield cur
+
+
+def line_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int):
+    """Yield the zero state, then one state from each F_p^*-line of the span:
+    the combinations whose last nonzero generator coefficient is 1.
+
+    For F_p-independent generators that is 1 + (p^k - 1)/(p - 1) states, and
+    every nonzero combination is c times exactly one of them, c in F_p^*.
+    Generator i leads p^i of them: `span_walk` over the first i generators,
+    started from generator i.  The yielded list is a reused buffer.
+    """
+    yield [0] * width
+    for i, lead in enumerate(gen_states):
+        yield from span_walk(tower, gen_states[:i], width, start=lead)
 
 
 def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:

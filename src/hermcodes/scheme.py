@@ -1,11 +1,14 @@
 """Association-scheme analytics for Hermitian codes.
 
-Inner distributions are exact rank histograms of the code span; dual inner
-distributions come from two independent routes that must agree: enumeration
-of the dual code, and the eigenvalue transform A'_k = sum_i Q_k(i) A_i of the
-enumerated code.  `eigenvalues` computes Q by exact character sums over the
-full matrix space, with character values in Z[zeta_p] under the
-vanishing-sum relation, never in floats.
+Inner distributions are exact rank histograms of the code span.  The codes
+are additive, so closed under scaling by F_p^*, and scaling by c != 0 keeps
+the rank; the histogram ranks the zero word once (weight 1) and one word per
+F_p^*-line of the span (weight p - 1), 1 + (|C| - 1)/(p - 1) words in all.
+Dual inner distributions come from two independent routes that must agree:
+enumeration of the dual code, and the eigenvalue transform
+A'_k = sum_i Q_k(i) A_i of the enumerated code.  `eigenvalues` computes Q
+by exact character sums over the full matrix space, with character values
+in Z[zeta_p] under the vanishing-sum relation, never in floats.
 
 The eigenvalues also have a closed form in negative q-binomials
 (`closed_form_eigenvalues`), pinned to the character sums by tests, and
@@ -29,7 +32,8 @@ from typing import Optional, Sequence
 from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
                         hermitian_matrix_basis)
-from .linalg import FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk
+from .linalg import (FpSpan, line_walk, nullity_of_code_columns, rank_subfield_matrix,
+                     span_walk)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -140,6 +144,12 @@ def pairing(a: HermMatrix, b: HermMatrix) -> CycloInt:
 def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     """Rank histogram of the code span (the inner distribution of an additive code).
 
+    An additive code is closed under scaling by c in F_p^*, and X and cX
+    have the same rank, so one word per F_p^*-line is ranked (`line_walk`):
+    the zero word with weight 1 and each later word with weight p - 1.  The
+    generators are F_p-independent, so the lines cover each nonzero word
+    exactly once.
+
     `threads` is ignored; it is accepted only because the perfbench layer
     probe still passes `threads=2`.
     """
@@ -147,8 +157,10 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     n = t.n
     ee = 2 * t.e
     hist = [0] * (n + 1)
-    for state in span_walk(t, [g.image_columns() for g in code.generators], t.m):
-        hist[n - nullity_of_code_columns(t, state) // ee] += 1
+    weight = 1
+    for state in line_walk(t, [g.image_columns() for g in code.generators], t.m):
+        hist[n - nullity_of_code_columns(t, state) // ee] += weight
+        weight = t.p - 1
     return tuple(hist)
 
 

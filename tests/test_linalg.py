@@ -4,8 +4,8 @@ import random
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (FpSpan, nullity_of_code_columns, nullspace_mod_p, rank_mod_p,
-                             rref_mod_p, solve_mod_p, span_walk)
+from hermcodes.linalg import (FpSpan, line_walk, nullity_of_code_columns, nullspace_mod_p,
+                             rank_mod_p, rref_mod_p, solve_mod_p, span_walk)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -27,6 +27,35 @@ def test_span_walk_matches_product_enumeration(p, k):
     assert len(walked) == p ** k
     assert set(walked) == set(expected)
     assert walked == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_line_walk_yields_one_state_per_line(p, k):
+    t = make_tower(p, 1, 2)
+    rng = random.Random(100 * p + k)
+    width = 3
+    while True:  # F_p-independent generators: p^k distinct combinations
+        gens = [[rng.randrange(t.order) for _ in range(width)] for _ in range(k)]
+        full = {tuple(state) for state in span_walk(t, gens, width)}
+        if len(full) == p ** k:
+            break
+    walked = [tuple(state) for state in line_walk(t, gens, width)]
+    assert len(walked) == 1 + (p ** k - 1) // (p - 1)
+    assert walked[0] == (0,) * width
+
+    def scaled(vec, c):
+        out = [0] * width
+        for _ in range(c):
+            out = [t.add(a, b) for a, b in zip(out, vec)]
+        return tuple(out)
+
+    lines = [{scaled(vec, c) for c in range(1, p)} for vec in walked[1:]]
+    assert all(len(line) == p - 1 for line in lines)
+    assert sum(len(line) for line in lines) == len(set().union(*lines))
+    assert {walked[0]}.union(*lines) == full
+    if p == 2:
+        assert set(walked) == full
 
 
 def test_mod_p_elimination_properties():

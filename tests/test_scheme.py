@@ -11,12 +11,13 @@ from hermcodes import (CycloInt, HermCode, build_E, build_H, build_M,
                        dual_inner_distribution, eigenvalues, full_space,
                        gram_matrix, hermitian_basis, inner_distribution,
                        neg_q_binom, pairing, theorem_distribution)
-from hermcodes import ConstructionParams, build, scheme
+from hermcodes import ConstructionParams, build, make_tower, scheme
 from hermcodes.cli import _run_check
 from hermcodes.constructions import tower_for
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, full_rank_residue,
                               pairwise_inner_distribution)
-from hermcodes.hermitian import dual_code, matrix_span
+from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
+from hermcodes.linalg import nullity_of_code_columns, span_walk
 
 
 # -- cyclotomic integers -------------------------------------------------------
@@ -114,6 +115,53 @@ def test_inner_distribution_trivial_code(tower_q2):
     c = HermCode(tower_q2, [], label="zero")
     assert inner_distribution(c) == (1, 0, 0, 0)
 
+
+def _full_walk_tally(code):
+    """Rank histogram over every word of the span, one kernel call each."""
+    t = code.tower
+    hist = [0] * (t.n + 1)
+    for state in span_walk(t, [g.image_columns() for g in code.generators], t.m):
+        hist[t.n - nullity_of_code_columns(t, state) // (2 * t.e)] += 1
+    return tuple(hist)
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
+                                     (3, 2, 2)])
+def test_line_walk_inner_distribution_matches_full_walk_and_matrix_model(p, e, n):
+    # one word per F_p^*-line, weighted p - 1, against the full walk and
+    # against the matrix-model rank of every word
+    t = make_tower(p, e, n)
+    basis = hermitian_basis(t)
+    rng = random.Random(1000 * p + 10 * e + n)
+    for dim in range(5):
+        gens = rng.sample(basis, dim)
+        code = HermCode(t, gens, label=f"random-{dim}")
+        hist = inner_distribution(code)
+        assert hist == _full_walk_tally(code), dim
+        mats = matrix_span(t, [gram_matrix(g) for g in gens])
+        assert hist == matrix_code_rank_distribution(mats), dim
+        if dim == 0:
+            assert hist == (1,) + (0,) * n
+
+
+@pytest.mark.parametrize("params, calls", [
+    (ConstructionParams(family="H", q=3, n=4, d=3, s=1), 1 + 6560 // 2),
+    (ConstructionParams(family="Htilde", q=5, n=3, s=1), 1 + 15624 // 4),
+    (ConstructionParams(family="H", q=2, n=3, d=2, s=1), 64),
+])
+def test_inner_distribution_ranks_one_word_per_line(monkeypatch, params, calls):
+    # 3,281 kernel calls for the 6,561 words of H(4,3,1) at q=3, 3,907 for
+    # the 15,625 of Htilde(3,1) at q=5, and |C| at p = 2
+    code = build(params)
+    count = [0]
+
+    def counting(tower, columns):
+        count[0] += 1
+        return nullity_of_code_columns(tower, columns)
+
+    monkeypatch.setattr(scheme, "nullity_of_code_columns", counting)
+    assert sum(inner_distribution(code)) == code.size
+    assert count[0] == calls
 
 def test_inner_distribution_full_space(tower_q2):
     # the histogram of the whole space equals the matrix-model tally
