@@ -26,7 +26,7 @@ INSTANCES = [
 ]
 
 # q = 5 skips dual and designs, which both pass there, only until the
-# benchmark's golden outputs record those operations (ROADMAP item 12)
+# benchmark's golden outputs record those operations (ROADMAP item 6)
 LIGHT_CHECKS = ("bound", "mindist", "theorem3", "kernel", "idealisers")
 
 

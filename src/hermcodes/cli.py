@@ -94,9 +94,7 @@ def cmd_construct(args) -> int:
 
 def cmd_stats(args) -> int:
     code = _load_code(args.code)
-    # the dual first, so the inner distribution is derived from it
-    dual = scheme.cached_dual(code, args.budget)
-    inner = scheme.cached_inner(code)
+    inner, dual = scheme.distributions(code, args.budget)
     min_distance = scheme.min_rank(inner)
     d = code.declared_d if code.declared_d is not None else min_distance
     payload = {
@@ -118,12 +116,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_eigenvalues(args) -> int:
-    tower = constructions.tower_for(args.q, args.n)
-    try:
-        eig = scheme.eigenvalues(tower, budget=args.budget)
-    except BudgetExceededError as ex:
-        _emit({"error": str(ex), "verdict": "inconclusive"}, args.out)
-        return EXIT_BUDGET
+    # built only to refuse what `construct` refuses: q not a prime power,
+    # n < 1, or a field past the tower ceiling
+    constructions.tower_for(args.q, args.n)
+    eig = scheme.closed_form_eigenvalues(args.q, args.n)
     payload = {
         "q": args.q,
         "n": args.n,
@@ -168,13 +164,16 @@ def _fp_dict(fp) -> dict:
 #
 # Each check takes the code, its minimum distance d (declared, else
 # enumerated) and the budget, and returns (verdict, witness).  The
-# distributions come from the per-code memo in `scheme`, so a battery
-# enumerates the code and its dual at most once each.
+# distributions come from `scheme.distributions`, which walks the smaller of
+# C and C-perp, charges it against the budget on every call and keeps it in
+# the per-code memo; `dual` alone walks both sides.  So a battery walks each
+# side at most once, and a side over the budget reads "inconclusive".
 
 
 def _maximum_design(code: HermCode, d: int, budget: int) -> bool:
-    """C is a maximum d-code and an (n-d)-design.  The dual is computed even
-    when C is not maximum, so a budget too small for it is always reported."""
+    """C is a maximum d-code and an (n-d)-design.  The distributions are
+    computed even when C is not maximum, so a budget too small for the walked
+    side is always reported."""
     strength = scheme.design_strength(code, budget)
     return (code.size == scheme.max_code_size(code.tower.q, code.n, d)
             and strength >= code.n - d)
@@ -188,7 +187,7 @@ def _check_bound(code: HermCode, d: int, budget: int):
 
 
 def _check_mindist(code: HermCode, d: int, budget: int):
-    mindist = scheme.min_rank(scheme.cached_inner(code, budget))
+    mindist = scheme.min_rank(scheme.distributions(code, budget)[0])
     if code.declared_d is None or mindist == code.declared_d:
         return "pass", None
     witness = {"declared_d": code.declared_d, "min_rank": mindist}
@@ -203,7 +202,7 @@ def _check_mindist(code: HermCode, d: int, budget: int):
 def _check_theorem3(code: HermCode, d: int, budget: int):
     if not (_maximum_design(code, d, budget) and d >= 1):
         return "inconclusive", {"reason": "code is not a maximum (n-d)-design instance"}
-    inner = scheme.cached_inner(code, budget)
+    inner = scheme.distributions(code, budget)[0]
     predicted = scheme.theorem_distribution(code.n, d, code.tower.q, code.size)
     if inner != predicted:
         return "fail", {"enumerated": list(inner), "predicted": list(predicted)}
@@ -211,19 +210,13 @@ def _check_theorem3(code: HermCode, d: int, budget: int):
 
 
 def _check_dual(code: HermCode, d: int, budget: int):
-    d1 = scheme.cached_dual(code, budget)
-    inner = scheme.cached_inner(code, budget)
-    if code.cache["inner_route"] == "dual":
-        # an inner distribution derived from d1 transforms back into d1
-        # whatever the dual code was, so enumerate the code for a second route
-        if code.size > budget:
-            raise BudgetExceededError(f"code has {code.size} words, budget {budget}")
-        enumerated = scheme.inner_distribution(code)
-        if enumerated != inner:
-            return "fail", {"enumerated": list(enumerated), "derived_from_dual": list(inner)}
-    # the second route transforms inner(C) by Schmidt's closed-form
-    # eigenvalues, which tests pin to the character sums; d1 passed the
-    # constraints of a dual distribution, so d2 meets them iff they agree
+    # two independent routes: the walk of C-perp, and the walk of C
+    # transformed by Schmidt's closed-form eigenvalues, which tests pin to
+    # the character sums.  A derived side is no second route: it transforms
+    # back into the walked one whatever the walk gave.  d1 passed the
+    # constraints of a dual distribution, so d2 meets them iff they agree.
+    d1 = scheme.walked(code, "dual", budget)
+    inner = scheme.walked(code, "inner", budget)
     d2 = scheme.closed_form_eigenvalues(code.tower.q, code.n).transform(inner)
     if d1 != d2:
         return "fail", {"dual_code_method": list(d1), "eigenvalue_method": list(d2)}
@@ -288,7 +281,7 @@ def _run_check(name: str, code: HermCode, budget: int) -> Report:
     try:
         d = code.declared_d
         if d is None:
-            d = scheme.min_rank(scheme.cached_inner(code, budget))
+            d = scheme.min_rank(scheme.distributions(code, budget)[0])
         verdict, witness = check(code, d, budget)
     except BudgetExceededError as ex:
         verdict, witness = "inconclusive", {"reason": str(ex)}
@@ -371,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("eigenvalues", help="exact character-sum eigenvalue table")
+    p = sub.add_parser("eigenvalues", help="exact closed-form eigenvalue table")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_eigenvalues)
 
     p = sub.add_parser("fingerprint", help="equivalence-invariant fingerprint")

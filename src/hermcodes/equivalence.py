@@ -35,11 +35,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gf import FieldTower, _is_irreducible
-from .hermitian import (HermCode, HermMatrix, poly_from_gram, poly_from_vector,
-                        poly_vector)
+from .hermitian import HermCode, poly_from_vector, poly_vector
 from .linalg import FpSpan, nullspace_mod_p
 from .linpoly import LinPoly
-from .scheme import DEFAULT_BUDGET, cached_dual, cached_inner, dual_strength
+from .scheme import DEFAULT_BUDGET, distributions, dual_strength
 
 
 # -- F_p matrices of additive maps ----------------------------------------------
@@ -166,8 +165,7 @@ def kernel_K(code: HermCode) -> EndoSolution:
     with N2 X = X N1 for every codeword map X (generators suffice).
 
     meta["contains_q2_scalars"] records containment of the scalar pairs from
-    F_{q^2}; meta["identity_form_in_code"] whether the code holds the
-    Hermitian polynomial whose Gram matrix is the identity.
+    F_{q^2}.
     """
     t = code.tower
     m = t.m
@@ -191,12 +189,8 @@ def kernel_K(code: HermCode) -> EndoSolution:
     basis, span, sol = _solve_algebra(t, rows, nvars, pair_of)
     contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
                            for beta in t.basis_over_prime(2))
-    # the identity matrix of the Gram model corresponds to a Hermitian
-    # polynomial that is not the identity map; detect that form instead
-    eye = HermMatrix(t, [[1 if j == k else 0 for k in range(t.n)] for j in range(t.n)])
     return replace(sol, pairs=[pair_of(v) for v in basis],
-                   meta={"contains_q2_scalars": contains_scalars,
-                         "identity_form_in_code": code.contains(poly_from_gram(t, eye))})
+                   meta={"contains_q2_scalars": contains_scalars})
 
 
 def _idealiser(code: HermCode, side: str) -> EndoSolution:
@@ -302,8 +296,7 @@ class Fingerprint:
 
 
 def invariant_fingerprint(code: HermCode, budget: int = DEFAULT_BUDGET) -> Fingerprint:
-    dual = cached_dual(code, budget)
-    inner = cached_inner(code)  # derived from the dual just enumerated
+    inner, dual = distributions(code, budget)
     return Fingerprint(
         label=code.label,
         size=code.size,

@@ -12,17 +12,20 @@ in Z[zeta_p] under the vanishing-sum relation, never in floats.
 
 The eigenvalues also have a closed form in negative q-binomials
 (`closed_form_eigenvalues`), pinned to the character sums by tests, and
-Q Q = q^(n^2) I.  So `cached_inner` enumerates whichever of C and C-perp is
-smaller: when |C-perp| = q^(n^2)/|C| is below |C| and fits the budget, it
-enumerates the dual and derives the inner distribution as A = Q A' / q^(n^2).
-A derived distribution must divide exactly, be non-negative, have A_0 = 1
-and sum to |C|, or ConsistencyError is raised.  Transforming it back only
-reproduces the dual, so a check that compares the two routes enumerates the
-code itself when the memo's inner came that way.
+Q Q = q^(n^2) I, so either side of the MacWilliams pair gives the other.
+One rule picks the side that is walked: `distributions` walks C-perp when
+|C-perp| = q^(n^2)/|C| <= |C| and C otherwise, charges that side's size
+against the budget on every call, and derives the other side by the closed
+form.  Walked distributions are kept in code.cache["inner"] (C walked) or
+code.cache["dual"] (C-perp walked) by `walked`, so a battery walks each
+side at most once.  A derived distribution must divide exactly and be
+non-negative, with A_0 = 1 and sum |C|, or A'_0 = |C| and every A'_k
+divisible by |C|; otherwise ConsistencyError is raised.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -314,51 +317,52 @@ def dual_inner_distribution(code: HermCode, method: str = "dual-code",
         out = eig.transform(inner_distribution(code))
     else:
         raise ValueError(f"unknown method {method!r}")
-    if out[0] != size or any(v < 0 or v % size for v in out):
-        raise ConsistencyError(f"dual inner distribution fails basic constraints: {out}")
-    return out
+    return _checked_dual(out, size)
 
 
-# -- per-code memo: each distribution is enumerated at most once per code object --
-
-
-def cached_inner(code: HermCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """The inner distribution, computed once and kept in code.cache.
-
-    It comes from the smaller side.  When |C-perp| = q^(n^2)/|C| is strictly
-    below |C| and fits the budget, the dual is enumerated once (see
-    `cached_dual`) and the inner distribution is derived from it by
-    `inner_from_dual`, as it is when code.cache already holds the dual.
-    Otherwise the code is enumerated; the budget does not bind that walk.
-    The route taken, "dual" or "code", is kept as code.cache["inner_route"].
-    """
-    if "inner" not in code.cache:
-        q, n = code.tower.q, code.n
-        dual_size = q ** (n * n) // code.size
-        dual = code.cache.get("dual")
-        if dual is None and dual_size < code.size and dual_size <= budget:
-            dual = cached_dual(code, budget)
-        if dual is None:
-            inner, route = inner_distribution(code), "code"
-        else:
-            inner, route = inner_from_dual(dual, q, n), "dual"
-        if inner[0] != 1 or sum(inner) != code.size:
-            raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
-        code.cache["inner"] = inner
-        code.cache["inner_route"] = route
-    return code.cache["inner"]
-
-
-def cached_dual(code: HermCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """dual_inner_distribution(code, "dual-code"), computed once and kept in
-    code.cache.  The budget is tested on every call, so a kept result is only
-    returned where computing it afresh would also have fit the budget."""
-    dual = code.cache.get("dual")
-    if dual is None:
-        dual = code.cache["dual"] = dual_inner_distribution(code, "dual-code", budget=budget)
-    elif sum(dual) // code.size > budget:
-        raise BudgetExceededError(f"dual has {sum(dual) // code.size} words, budget {budget}")
+def _checked_dual(dual: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """`dual` itself, once A'_0 = |C| and every A'_k is non-negative and
+    divisible by |C|."""
+    if dual[0] != size or any(v < 0 or v % size for v in dual):
+        raise ConsistencyError(f"dual inner distribution fails basic constraints: {dual}")
     return dual
+
+
+# -- per-code memo: each side of the MacWilliams pair is walked at most once ------
+
+
+def walked(code: HermCode, side: str, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """The distribution of one side by enumeration, kept in code.cache[side]:
+    "inner" walks C (`inner_distribution`), "dual" walks C-perp
+    (`dual_inner_distribution`, method "dual-code").  The side's size is
+    charged against the budget on every call, before anything is built, so a
+    kept result is only returned where walking afresh would also fit."""
+    size = code.size if side == "inner" else code.tower.q ** (code.n ** 2) // code.size
+    if size > budget:
+        raise BudgetExceededError(
+            f"{'code' if side == 'inner' else 'dual'} has {size} words, budget {budget}")
+    if side not in code.cache:
+        code.cache[side] = (inner_distribution(code) if side == "inner"
+                            else dual_inner_distribution(code, "dual-code", budget=budget))
+    return code.cache[side]
+
+
+def distributions(code: HermCode,
+                  budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(inner, dual) distributions of the code.  The smaller side is walked
+    (`walked`): C-perp when |C-perp| = q^(n^2)/|C| <= |C|, else C.  The other
+    side is derived by the closed-form eigenvalues, `inner_from_dual` one way
+    and the transform A' = Q A the other."""
+    q, n, size = code.tower.q, code.n, code.size
+    if q ** (n * n) // size <= size:
+        dual = walked(code, "dual", budget)
+        inner = inner_from_dual(dual, q, n)
+    else:
+        inner = walked(code, "inner", budget)
+        dual = _checked_dual(closed_form_eigenvalues(q, n).transform(inner), size)
+    if inner[0] != 1 or sum(inner) != size:
+        raise ConsistencyError(f"inner distribution fails basic constraints: {inner}")
+    return inner, dual
 
 
 def min_rank(inner: Sequence[int]) -> int:
@@ -378,7 +382,7 @@ def max_code_size(q: int, n: int, d: int) -> int:
 
 def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
     """Largest t such that the code is a t-design (see dual_strength)."""
-    return dual_strength(cached_dual(code, budget))
+    return dual_strength(distributions(code, budget)[1])
 
 
 # -- negative q-binomials and the closed forms --------------------------------------
@@ -404,10 +408,13 @@ def neg_q_binom(m: int, l: int, q: int) -> int:
     return int(val)
 
 
+@functools.cache
 def closed_form_eigenvalues(q: int, n: int) -> Eigenvalues:
     """Q_k(i) = sum_{j=0}^{k} (-1)^{k-j} b^{C(k-j,2)} c^j [n-j, n-k]_b [n-i, j]_b
     with b = -q and c = -(-q)^n (K.-U. Schmidt, "Hermitian rank distance
-    codes", 2018); rank_counts is column 0.  `eigenvalues` is its oracle."""
+    codes", 2018); rank_counts is column 0.  `eigenvalues` is its oracle.
+    Kept per (q, n), since `distributions` derives a side through it on
+    every call; the table is immutable."""
     b, c = -q, -((-q) ** n)
     table = tuple(
         tuple(sum((-1) ** (k - j) * b ** ((k - j) * (k - j - 1) // 2) * c ** j

@@ -208,8 +208,13 @@ def test_eigenvalues_subcommand(capsys):
 
 
 def test_eigenvalues_budget(capsys):
-    rc, out = run(["eigenvalues", "--q", "3", "--n", "3", "--budget", "5"], capsys)
-    assert rc == 3
+    # the closed form needs no budget; the character sums would walk 5^9 matrices
+    rc, out = run(["eigenvalues", "--q", "5", "--n", "3"], capsys)
+    assert rc == 0
+    data = json.loads(out)
+    assert data["rank_counts"][0] == "1"
+    assert sum(map(int, data["rank_counts"])) == 5 ** 9
+    assert data["table"][0] == ["1"] * 4
 
 
 def test_fingerprint_comparison_verdicts(tmp_path, capsys):
@@ -280,9 +285,9 @@ def test_stats_enumerates_only_the_dual(tmp_path, capsys, monkeypatch):
 
 
 def test_dual_check_on_a_derived_inner_enumerates_the_code(tmp_path, capsys, monkeypatch):
-    # `dual` first on a fresh code derives the inner distribution from the
-    # dual; a wrong dual code (here the dual of M, of the same size) must
-    # still fail, which a transform back into the dual would never show
+    # the inner distribution derived from the 8-word dual transforms back
+    # into that dual whatever the dual code was, so the check walks C: a
+    # wrong dual code (here the dual of M, of the same size) must still fail
     path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",
                      "--d", "2", "--s", "1")
     real = scheme.dual_code
@@ -291,21 +296,55 @@ def test_dual_check_on_a_derived_inner_enumerates_the_code(tmp_path, capsys, mon
     assert rc == 1
     [report] = json.loads(out)["reports"]
     assert report["verdict"] == "fail"
-    assert report["witness"]["enumerated"] == ["1", "0", "21", "42"]
+    assert report["witness"]["eigenvalue_method"] == ["64", "0", "0", "448"]
 
 
 def test_dual_check_charges_the_code_walk_against_its_budget():
     # the dual of H(3,2,1) at q=2 has 8 words and the code 64
     code = build(ConstructionParams(family="H", q=2, n=3, d=2, s=1))
-    scheme.cached_dual(code, 10)
+    scheme.distributions(code, 10)
+    assert {"inner", "dual"} & set(code.cache) == {"dual"}
     report = _run_check("dual", code, 10)
     assert report.verdict == "inconclusive"
     assert "code has 64 words" in report.witness["reason"]
-    assert code.cache["inner_route"] == "dual"
     assert _run_check("dual", code, DEFAULT_BUDGET).verdict == "pass"
 
 
+def test_theorem3_on_E_walks_only_the_code(tmp_path, capsys, monkeypatch):
+    # 27 words against a 729-word dual: the dual distribution is derived
+    path = construct(tmp_path, capsys, "E", "--q", "3", "--n", "3", "--d", "3", "--s", "1")
+    seen = []
+    real = scheme.inner_distribution
+    monkeypatch.setattr(scheme, "inner_distribution",
+                        lambda c: seen.append(c.label) or real(c))
+    rc, out = run(["verify", "--code", path, "--checks", "theorem3"], capsys)
+    assert rc == 0
+    data = json.loads(out)
+    assert [r["verdict"] for r in data["reports"]] == ["pass"]
+    assert seen == [data["code"]]
+
+
+def test_stats_budget_is_charged_for_the_smaller_side(tmp_path, capsys):
+    path = construct(tmp_path, capsys, "E", "--q", "3", "--n", "3", "--d", "3", "--s", "1")
+    rc, out = run(["stats", "--code", path, "--budget", "27"], capsys)
+    assert rc == 0
+    assert out == run(["stats", "--code", path], capsys)[1]
+
+
+def test_mindist_budget_binds_on_the_walked_code(tmp_path, capsys):
+    path = construct(tmp_path, capsys, "E", "--q", "3", "--n", "3", "--d", "3", "--s", "1")
+    verdicts = {}
+    for budget in (26, 27):
+        rc, out = run(["verify", "--code", path, "--checks", "mindist",
+                       "--budget", str(budget)], capsys)
+        [report] = json.loads(out)["reports"]
+        verdicts[budget] = (rc, report["verdict"])
+    assert verdicts == {26: (3, "inconclusive"), 27: (0, "pass")}
+
+
 def test_verify_small_budget_never_builds_the_dual(tmp_path, capsys, monkeypatch):
+    # the 27-word dual is charged before it is built, and C is never walked
+    # past the budget either
     path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3",
                      "--d", "2", "--s", "1")
 
@@ -315,8 +354,8 @@ def test_verify_small_budget_never_builds_the_dual(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(scheme, "dual_code", no_dual)
     rc, out = run(["verify", "--code", path, "--checks", "bound,mindist",
                    "--budget", "1"], capsys)
-    assert rc == 0
-    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "pass"]
+    assert rc == 3
+    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "inconclusive"]
 
 
 def test_verify_budget_still_binds_after_the_memo_is_filled(tmp_path, capsys):
@@ -333,13 +372,13 @@ def test_memo_hit_never_turns_inconclusive_into_pass():
     warm, fresh = build(params), build(params)
     assert all(_run_check(name, warm, DEFAULT_BUDGET).verdict == "pass" for name in CHECKS)
     assert {"inner", "dual"} <= set(warm.cache)
-    # the dual has 8 words: a budget of 5 must stop every check that needs it
+    # the dual has 8 words: a budget of 5 must stop every check that walks it
     verdicts = []
     for name in CHECKS:
         report = _run_check(name, warm, 5).to_json(False)
         assert report == _run_check(name, fresh, 5).to_json(False)
         verdicts.append(report["verdict"])
-    assert verdicts == ["pass", "pass"] + ["inconclusive"] * 5
+    assert verdicts == ["pass"] + ["inconclusive"] * 6
 
 
 # -- malformed input: exit 2 with a message, never a traceback -----------------
@@ -415,6 +454,7 @@ def test_malformed_code_file_is_usage_error(tmp_path, capsys, case):
     (["verify", "--threads", "2"], "--threads"),
     (["dual", "--budget", "5"], "--budget"),
     (["stats", "--threads", "3"], "--threads"),
+    (["eigenvalues", "--q", "2", "--n", "3", "--budget", "5"], "--budget"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, needle):
     path = construct(tmp_path, capsys, "H", "--q", "2", "--n", "3",

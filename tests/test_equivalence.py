@@ -59,7 +59,6 @@ def test_kernel_of_full_space_contains_scalars(tower_q3, tower_q2):
     for t in (tower_q3, tower_q2):
         sol = kernel_K(full_space(t))
         assert sol.meta["contains_q2_scalars"]
-        assert sol.meta["identity_form_in_code"]
         assert sol.order == t.q ** 2
 
 

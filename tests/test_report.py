@@ -16,8 +16,8 @@ import reproduce_report  # noqa: E402
 from hermcodes import build, dual_code  # noqa: E402
 from hermcodes.cli import _run_check, main  # noqa: E402
 from hermcodes.hermitian import code_from_dict  # noqa: E402
-from hermcodes.scheme import (DEFAULT_BUDGET, cached_dual, cached_inner,  # noqa: E402
-                              closed_form_eigenvalues, dual_inner_distribution,
+from hermcodes.scheme import (DEFAULT_BUDGET, closed_form_eigenvalues,  # noqa: E402
+                              distributions, dual_inner_distribution,
                               inner_distribution)
 
 
@@ -73,13 +73,13 @@ def _stats_input(name):
                                      .read_text(encoding="utf-8")))
 
 
-def test_inner_derived_from_the_dual_matches_enumeration():
+def test_distributions_match_both_walks():
+    # the E codes walk C and derive the dual; every other code the reverse
     codes = [build(params) for params in reproduce_report.INSTANCES]
     codes += [_stats_input(name) for name in ("H-q4-n3", "Htilde-q5-n3", "H-q3-n4")]
     for code in codes:
-        cached_dual(code)
-        assert cached_inner(code) == inner_distribution(code), code.label
-        assert code.cache["inner_route"] == "dual"
+        assert distributions(code) == (inner_distribution(code),
+                                       dual_inner_distribution(code)), code.label
 
 
 def test_closed_form_transform_matches_character_sums_on_report_codes():
