@@ -9,10 +9,9 @@ from .hermitian import (HermCode, HermMatrix, bilinear_b, code_from_dict,
                         hermitian_basis, is_hermitian,
                         matrix_code_rank_distribution, poly_from_gram,
                         trace_poly)
-from .scheme import (BudgetExceededError, CycloInt, Eigenvalues, char_value,
-                     delta_identity_holds, design_by_extension_count,
-                     design_strength, dual_inner_distribution, eigenvalues,
-                     inner_distribution, neg_q_binom, pairing,
+from .scheme import (BudgetExceededError, Eigenvalues, delta_identity_holds,
+                     design_by_extension_count, design_strength,
+                     dual_inner_distribution, inner_distribution, neg_q_binom,
                      theorem_distribution)
 from .constructions import (ConstructionParams, ParameterError, build,
                             build_E, build_H, build_Htilde,

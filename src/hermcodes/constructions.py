@@ -58,6 +58,12 @@ class ConstructionParams:
                 raise ParameterError(f"family {self.family} needs d and s")
         if self.family == "Htilde" and self.s is None:
             raise ParameterError("family Htilde needs s")
+        if self.gamma_power is not None and self.family != "Htilde":
+            raise ParameterError(f"family {self.family} takes no gamma")
+        if self.s is not None and self.family == "M":
+            raise ParameterError("family M takes no s")
+        if self.d not in (None, 2) and self.family in ("M", "Htilde"):
+            raise ParameterError(f"family {self.family} is a 2-code: d must be 2, not {self.d}")
 
 
 def _prime_power(q: int) -> tuple[int, int]:

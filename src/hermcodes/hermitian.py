@@ -222,8 +222,7 @@ class HermCode:
 
     def __init__(self, tower: FieldTower, generators: Sequence[LinPoly],
                  label: str = "", declared_d: int | None = None,
-                 model: str = "poly",
-                 matrix_generators: Sequence[HermMatrix] | None = None):
+                 model: str = "poly"):
         self.tower = tower
         gens = tuple(generators)
         for f in gens:
@@ -240,7 +239,6 @@ class HermCode:
         self.label = label
         self.declared_d = declared_d
         self.model = model
-        self.matrix_generators = tuple(matrix_generators) if matrix_generators else None
         self.cache: dict = {}  # derived per-code results, like FieldTower.cache
 
     @property
@@ -254,6 +252,11 @@ class HermCode:
     @property
     def n(self) -> int:
         return self.tower.n
+
+    @property
+    def matrix_generators(self) -> tuple[HermMatrix, ...]:
+        """The generators' Gram matrices, the generators of the matrix model."""
+        return tuple(gram_matrix(f) for f in self.generators)
 
     def contains(self, f: LinPoly) -> bool:
         return self.span.contains(poly_vector(f))
@@ -333,17 +336,15 @@ def code_from_matrix_set(tower: FieldTower, matrices: Sequence[HermMatrix],
     through the Gram-matrix isomorphism.
     """
     span = FpSpan(tower.n * tower.n * tower.m, tower.p)
-    gen_mats = []
+    polys = []
     seen = set()
     for mat in matrices:
         if mat.rows in seen:
             raise ValueError("matrices must be pairwise distinct")
         seen.add(mat.rows)
         if span.add(tower.digit_vector(mat.entry_vector())):
-            gen_mats.append(mat)
-    polys = [poly_from_gram(tower, mat) for mat in gen_mats]
-    return HermCode(tower, polys, label=label, declared_d=declared_d,
-                    model="matrix", matrix_generators=gen_mats)
+            polys.append(poly_from_gram(tower, mat))
+    return HermCode(tower, polys, label=label, declared_d=declared_d, model="matrix")
 
 
 # -- serialization --------------------------------------------------------------
@@ -352,7 +353,7 @@ def code_from_matrix_set(tower: FieldTower, matrices: Sequence[HermMatrix],
 def code_to_dict(code: HermCode) -> dict:
     """Code-file dictionary; FFElements are little-endian F_p digit vectors."""
     t = code.tower
-    if code.model == "matrix" and code.matrix_generators is not None:
+    if code.model == "matrix":
         gens = [[list(t.digits(c)) for c in mat.entry_vector()]
                 for mat in code.matrix_generators]
     else:

@@ -7,8 +7,9 @@ F_p^*-line of the span (weight p - 1), 1 + (|C| - 1)/(p - 1) words in all.
 Dual inner distributions come from two independent routes that must agree:
 enumeration of the dual code, and the eigenvalue transform
 A'_k = sum_i Q_k(i) A_i of the enumerated code.  `eigenvalues` computes Q
-by exact character sums over the full matrix space, with character values
-in Z[zeta_p] under the vanishing-sum relation, never in floats.
+by exact character sums over the full matrix space, never in floats: a sum
+sum_j c_j zeta_p^j is tallied by trace digit j, is a rational integer iff
+c_1 = ... = c_{p-1}, and then equals c_0 - c_{p-1}.
 
 The eigenvalues also have a closed form in negative q-binomials
 (`closed_form_eigenvalues`), pinned to the character sums by tests, and
@@ -47,98 +48,6 @@ class BudgetExceededError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """A runtime cross-check that should be impossible to fail has failed."""
-
-
-# -- cyclotomic integers -------------------------------------------------------
-
-
-class CycloInt:
-    """Element of Z[zeta_p] in the Z-basis 1, zeta, ..., zeta^{p-2}.
-
-    Only what character sums need: construction from powers of zeta or from
-    exponent counts, addition, and exact integrality testing via the relation
-    1 + zeta + ... + zeta^{p-1} = 0.
-    """
-
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords: Sequence[int]):
-        if len(coords) != p - 1:
-            raise ValueError(f"expected {p - 1} coordinates")
-        self.p = p
-        self.coords = tuple(coords)
-
-    @classmethod
-    def zero(cls, p: int) -> "CycloInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def from_zeta_power(cls, p: int, j: int) -> "CycloInt":
-        j %= p
-        if j < p - 1:
-            coords = [0] * (p - 1)
-            coords[j] = 1
-            return cls(p, coords)
-        return cls(p, (-1,) * (p - 1))
-
-    @classmethod
-    def from_exponent_counts(cls, p: int, counts: Sequence[int]) -> "CycloInt":
-        """sum_j counts[j] * zeta^j for j in 0..p-1, reduced."""
-        if len(counts) != p:
-            raise ValueError(f"expected {p} exponent counts")
-        top = counts[p - 1]
-        return cls(p, [c - top for c in counts[: p - 1]])
-
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        if self.p != other.p:
-            raise ValueError("mixed cyclotomic orders")
-        return CycloInt(self.p, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.p, [-a for a in self.coords])
-
-    def is_rational_integer(self) -> bool:
-        return not any(self.coords[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer():
-            raise ValueError(f"not a rational integer: {self.coords}")
-        return self.coords[0]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CycloInt) and self.p == other.p
-                and self.coords == other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coords))
-
-    def __repr__(self) -> str:
-        return f"CycloInt(p={self.p}, {self.coords})"
-
-
-def char_value(tower: FieldTower, x: int) -> CycloInt:
-    """chi(x) = zeta_p^{Tr_{F_q/F_p}(x)} for x in F_q, a nontrivial character."""
-    return CycloInt.from_zeta_power(tower.p, tower.prime_trace(x))
-
-
-def conjugate_trace(a: HermMatrix, b: HermMatrix) -> int:
-    """tr(A* B) = sum_{j,k} conj(A_{kj}) B_{kj}; lands in F_q for Hermitian pairs."""
-    t = a.tower
-    acc = 0
-    for j in range(t.n):
-        for k in range(t.n):
-            x = a.rows[k][j]
-            y = b.rows[k][j]
-            if x and y:
-                acc = t.add(acc, t.mul(t.frobenius(x, 1), y))
-    if not t.in_subfield(acc, 1):
-        raise ConsistencyError("trace form left F_q on a Hermitian pair")
-    return acc
-
-
-def pairing(a: HermMatrix, b: HermMatrix) -> CycloInt:
-    """<A, B> = chi(tr(A* B))."""
-    return char_value(a.tower, conjugate_trace(a, b))
 
 
 # -- inner distributions ---------------------------------------------------------
@@ -202,6 +111,33 @@ class Eigenvalues:
                      for k in range(self.n + 1))
 
 
+def conjugate_trace(a: HermMatrix, b: HermMatrix) -> int:
+    """tr(A* B) = sum_{j,k} conj(A_{kj}) B_{kj}; lands in F_q for Hermitian pairs."""
+    t = a.tower
+    acc = 0
+    for j in range(t.n):
+        for k in range(t.n):
+            x = a.rows[k][j]
+            y = b.rows[k][j]
+            if x and y:
+                acc = t.add(acc, t.mul(t.frobenius(x, 1), y))
+    if not t.in_subfield(acc, 1):
+        raise ConsistencyError("trace form left F_q on a Hermitian pair")
+    return acc
+
+
+def _character_sum(counts: Sequence[int]) -> int:
+    """sum_j counts[j] zeta^j for zeta a primitive p-th root of unity, p =
+    len(counts), as a rational integer.  By 1 + zeta + ... + zeta^(p-1) = 0
+    the sum is sum_{j<p-1} (c_j - c_{p-1}) zeta^j, and 1, ..., zeta^(p-2)
+    is a Z-basis of Z[zeta], so it is rational iff c_1 = ... = c_{p-1}, and
+    then equals c_0 - c_{p-1}."""
+    if len(set(counts[1:])) > 1:
+        raise ConsistencyError(f"trace digit counts {list(counts)} do not sum to "
+                               f"a rational integer")
+    return counts[0] - counts[-1]
+
+
 def _congruence(tower: FieldTower, pmat: list[list[int]], b: HermMatrix) -> HermMatrix:
     """P* B P, a rank-preserving Hermitian congruence."""
     n = tower.n
@@ -228,11 +164,13 @@ def _random_invertible(tower: FieldTower, rng: random.Random) -> list[list[int]]
 
 
 def eigenvalues(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> Eigenvalues:
-    """Exact Q_k(i) = sum over rank-k matrices A of chi(tr(A* B_i)).
+    """Exact Q_k(i) = sum over rank-k matrices A of zeta_p^Tr(tr(A* B_i)),
+    Tr the trace from F_q to F_p.
 
-    Every Q_k(i) is computed for two distinct rank-i representatives (the
-    diagonal one and a seeded random congruence of it) and asserted equal,
-    and asserted to be a rational integer in Z[zeta_p].  Cached per tower.
+    Each sum is tallied by trace digit and reduced by `_character_sum`, which
+    asserts that it is a rational integer.  Every Q_k(i) is computed for two
+    distinct rank-i representatives (the diagonal one and a seeded random
+    congruence of it) and asserted equal.  Cached per tower.
     """
     n = tower.n
     total = tower.q ** (n * n)
@@ -279,14 +217,12 @@ def eigenvalues(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> Eigenvalues:
     for k in range(n + 1):
         row = []
         for i in range(n + 1):
-            v1 = CycloInt.from_exponent_counts(p, tallies[i][k])
-            v2 = CycloInt.from_exponent_counts(p, tallies[n + 1 + i][k])
+            v1 = _character_sum(tallies[i][k])
+            v2 = _character_sum(tallies[n + 1 + i][k])
             if v1 != v2:
                 raise ConsistencyError(
                     f"Q_{k}({i}) depends on the rank-{i} representative: {v1} vs {v2}")
-            if not v1.is_rational_integer():
-                raise ConsistencyError(f"Q_{k}({i}) is not a rational integer: {v1}")
-            row.append(v1.as_int())
+            row.append(v1)
         table.append(tuple(row))
     result = Eigenvalues(q=tower.q, n=n, table=tuple(table), rank_counts=tuple(rank_counts))
     for k in range(n + 1):

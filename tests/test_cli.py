@@ -51,6 +51,18 @@ def test_construct_matrix_model_file(tmp_path, capsys):
     assert all(len(g) == 9 for g in data["generators"])
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["Htilde", "--q", "3", "--n", "3", "--s", "1", "--d", "3"], "d must be 2"),
+    (["M", "--q", "2", "--n", "3", "--d", "3"], "d must be 2"),
+    (["M", "--q", "2", "--n", "3", "--s", "1"], "takes no s"),
+    (["M", "--q", "2", "--n", "3", "--gamma", "1"], "takes no gamma"),
+    (["H", "--q", "2", "--n", "3", "--d", "2", "--s", "1", "--gamma", "1"], "takes no gamma"),
+    (["E", "--q", "2", "--n", "3", "--d", "3", "--s", "1", "--gamma", "1"], "takes no gamma"),
+])
+def test_construct_refuses_a_parameter_the_family_does_not_take(capsys, argv, needle):
+    _assert_usage_error(main(["construct", "--family", *argv]), capsys, needle)
+
+
 def test_construct_rejects_bad_parameters(capsys):
     rc = main(["construct", "--family", "H", "--q", "2", "--n", "4",
                "--d", "2", "--s", "2"])
@@ -188,15 +200,21 @@ def test_mindist_witness_walk_is_charged_against_the_budget(tmp_path, capsys):
 
 
 def test_dual_subcommand(tmp_path, capsys):
-    path = construct(tmp_path, capsys, "Htilde", "--q", "3", "--n", "3", "--s", "1")
-    dual_path = tmp_path / "dual.json"
-    rc = main(["dual", "--code", path, "--out", str(dual_path)])
-    capsys.readouterr()
-    assert rc == 0
-    rc, out = run(["stats", "--code", str(dual_path)], capsys)
-    data = json.loads(out)
-    assert data["size"] == "27"
-    assert data["inner"] == ["1", "0", "0", "26"]
+    for family_args, size, inner in [
+        (["Htilde", "--q", "3", "--n", "3", "--s", "1"], "27", ["1", "0", "0", "26"]),
+        # the dual of the zero-diagonal code M is the diagonal matrices, and
+        # a matrix-model dual file must load as one
+        (["M", "--q", "2", "--n", "3"], "8", ["1", "3", "3", "1"]),
+    ]:
+        path = construct(tmp_path, capsys, *family_args)
+        dual_path = tmp_path / "dual.json"
+        rc = main(["dual", "--code", path, "--out", str(dual_path)])
+        capsys.readouterr()
+        assert rc == 0
+        rc, out = run(["stats", "--code", str(dual_path)], capsys)
+        data = json.loads(out)
+        assert data["size"] == size
+        assert data["inner"] == inner
 
 
 def test_eigenvalues_subcommand(capsys):

@@ -5,55 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcodes import (CycloInt, HermCode, build_E, build_H, build_M,
-                       build_Htilde, char_value, delta_identity_holds,
-                       design_by_extension_count, design_strength,
-                       dual_inner_distribution, eigenvalues, full_space,
+from hermcodes import (HermCode, build_E, build_H, build_M, build_Htilde,
+                       delta_identity_holds, design_by_extension_count,
+                       design_strength, dual_inner_distribution, full_space,
                        gram_matrix, hermitian_basis, inner_distribution,
-                       neg_q_binom, pairing, theorem_distribution)
+                       neg_q_binom, theorem_distribution)
 from hermcodes import ConstructionParams, build, make_tower, scheme
 from hermcodes.cli import _run_check
 from hermcodes.constructions import tower_for
-from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, full_rank_residue,
-                              pairwise_inner_distribution)
+from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyError,
+                              _character_sum, conjugate_trace, eigenvalues,
+                              full_rank_residue, pairwise_inner_distribution)
 from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
 from hermcodes.linalg import nullity_of_code_columns, span_walk
 
 
-# -- cyclotomic integers -------------------------------------------------------
+# -- character sums ----------------------------------------------------------------
 
 
-def test_cyclo_char_values(tower_q2, tower_q3):
-    assert char_value(tower_q2, 0).as_int() == 1
-    assert char_value(tower_q2, 1).as_int() == -1   # zeta_2 = -1
-    z = char_value(tower_q3, 1)
-    assert not z.is_rational_integer()
-    # nontrivial character sums to zero over F_q
-    for t in (tower_q2, tower_q3):
-        acc = CycloInt.zero(t.p)
-        for x in t.subfield_elements(1):
-            acc = acc + char_value(t, x)
-        assert acc.as_int() == 0
+def test_character_sum_reduction():
+    # 7 + 4 zeta + 4 zeta^2 = 3 at p=3; 1 + zeta + ... + zeta^4 = 0 at p=5
+    assert _character_sum([7, 4, 4]) == 3
+    assert _character_sum([1, 1, 1, 1, 1]) == 0
+    with pytest.raises(ConsistencyError):
+        _character_sum([7, 4, 5])
 
 
-def test_cyclo_reduction():
-    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    z = CycloInt.from_zeta_power(5, 4)
-    assert z.coords == (-1, -1, -1, -1)
-    total = CycloInt.zero(5)
-    for j in range(5):
-        total = total + CycloInt.from_zeta_power(5, j)
-    assert total.as_int() == 0
-    assert CycloInt.from_exponent_counts(3, [7, 4, 4]).as_int() == 3
-
-
-def test_pairing_is_character_of_trace_form(tower_q2):
-    t = tower_q2
-    basis = [gram_matrix(h) for h in hermitian_basis(t)]
-    rng = random.Random(0)
-    for _ in range(50):
-        a, b = rng.choice(basis), rng.choice(basis)
-        assert pairing(a, b) == pairing(b, a)
+def test_trace_form_is_symmetric(tower_q2):
+    basis = [gram_matrix(h) for h in hermitian_basis(tower_q2)]
+    for a in basis:
+        for b in basis:
+            assert conjugate_trace(a, b) == conjugate_trace(b, a)
 
 
 # -- negative q-binomials and the closed form -----------------------------------
