@@ -14,12 +14,19 @@ polynomial whose root x is a primitive element wins.  Identical (p, e, n)
 inputs therefore always produce identical towers, and the canonical
 generator is always the residue class of x.
 
-Fields of order up to 2^20 get exp, log and digits tables, so `mul` is two
-lookups.  The exp table walks the powers of the generator.  When the
-generator is x, which holds for every default modulus and for any supplied
-modulus whose root x is primitive, each step is a shift-and-reduce on the
-integer code (XOR for p = 2, two table lookups for odd p).  Otherwise each
-step is a generic polynomial multiplication.
+A tower starts without exp/log tables: `mul`, `inv`, `pow` and `frobenius`
+multiply digit tuples as polynomials, and each call charges its count of
+polynomial products to the tower.  A field of order up to 2^20 builds its
+exp and log tables once the charges reach about the cost of the build;
+from then on `mul` is two lookups.  So light work on a large field, such
+as constructing one code at q = 9, never builds, while a long analysis
+builds early.  The exp table walks the powers of the generator.  When the
+generator is x, which holds for every default modulus and for any
+supplied modulus whose root x is primitive, each step is a
+shift-and-reduce on the integer code (XOR for p = 2, two table lookups
+for odd p).  Otherwise each step is a generic polynomial multiplication.
+`digits` joins the digit tuples of the low and high halves of a code, two
+lookups in one table of p^(m/2) entries.
 
 Addition is XOR for p = 2.  For odd p it works on chunks of c base-p
 digits, through a table of the digit-wise sums of two chunks (P^2 entries
@@ -30,18 +37,30 @@ chunks.
 Towers are interned per process: `make_tower` returns the same FieldTower
 object for the same (p, e, n, modulus), so every code on that tower shares
 its `cache` of derived tables (bases, eigenvalue tables).  Apart from that
-cache, a tower never changes after construction, and every operation is a
-pure function of its inputs.
+cache, the work charge and the exp/log tables, a tower never changes after
+construction.  Every operation is a pure function of its inputs: both
+routes give the same codes, so when the tables are built changes only the
+time an operation takes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
-# Discrete-log tables are built for fields up to this order; larger fields
-# (allowed up to 2**32) fall back to polynomial arithmetic per operation.
+# Discrete-log tables are built for fields up to this order, and only once
+# the table-free work on the tower has cost about as much as building them
+# (FieldTower._charge); larger fields (allowed up to 2**32) always take the
+# polynomial route.  Either route gives the same codes.
 _TABLE_LIMIT = 1 << 20
 _ORDER_LIMIT = 1 << 32
+# The build threshold, in table-free products: order // (_BUILD_PER_DIGIT * m).
+# A table-free product costs about 2m us (10-13 us at m = 6, 16 at m = 8,
+# 25-34 at m = 12, 47-55 at m = 18-20; CPython 3.11, 2-vCPU host) and the
+# exp/log build 0.2-0.5 us per element, so order / (6m) products cost about
+# as much as the build.  Building there keeps a tower within about 3x the
+# cheaper route whether its work stops early or runs on.
+_BUILD_PER_DIGIT = 6
 # Odd-p addition works on chunks of base-p digits through a table indexed by
 # a pair of chunks; the table has at most this many entries.
 _CHUNK_LIMIT = 1 << 14
@@ -165,14 +184,15 @@ class FieldTower:
     """
 
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "generator",
-                 "_exp", "_log", "_digits", "_frob_exp", "_pw", "cache",
+                 "_generator_poly", "_exp", "_log", "_spent", "_build_at",
+                 "_half", "_half_size", "_frob_exp", "_pw", "cache",
                  "_chunk", "_chunks", "_add_t", "_neg_t")
 
     def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator_poly: tuple[int, ...]):
         self.p = p
         self.e = e
         self.n = n
-        self.m = 2 * n * e
+        self.m = m = 2 * n * e
         self.q = p ** e
         self.order = p ** self.m
         self.modulus = modulus
@@ -180,14 +200,23 @@ class FieldTower:
         self.cache: dict = {}  # derived per-tower tables, shared via interning
         if p != 2:
             self._build_chunk_tables()
-
-        if self.order <= _TABLE_LIMIT:
-            self._build_tables(generator_poly)
-        else:
-            self._exp = None
-            self._log = None
-            self._digits = None
-            self.generator = self._encode_poly(generator_poly)
+        if not _element_order_is(generator_poly, self.order - 1, modulus, p):
+            raise AssertionError("generator order mismatch: not a primitive element")
+        self._generator_poly = generator_poly
+        self.generator = self._encode_poly(generator_poly)
+        # base-p digit tuples of the codes below p^(m/2): `digits` joins
+        # those of the low and the high half of a code (m = 2ne is even)
+        half: list[tuple[int, ...]] = [()]
+        for _ in range(m // 2):
+            half = [t + (d,) for d in range(p) for t in half]
+        self._half, self._half_size = half, p ** (m // 2)
+        # exp/log tables wait until the table-free work would have paid for
+        # them (see _BUILD_PER_DIGIT), and are never built above _TABLE_LIMIT
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
+        self._spent = 0
+        self._build_at = (self.order // (_BUILD_PER_DIGIT * m)
+                          if self.order <= _TABLE_LIMIT else math.inf)
         # q^k mod (order-1) for k in 0..2n-1, the Frobenius exponent lattice
         self._frob_exp = [pow(self.q, k, self.order - 1) for k in range(2 * n)]
 
@@ -198,14 +227,8 @@ class FieldTower:
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of `a` in the power basis, constant term first."""
-        if self._digits is not None:
-            return self._digits[a]
-        out = []
-        p = self.p
-        for _ in range(self.m):
-            a, r = divmod(a, p)
-            out.append(r)
-        return tuple(out)
+        half, size = self._half, self._half_size
+        return half[a % size] + half[a // size]
 
     def digit_vector(self, codes: Iterable[int]) -> list[int]:
         """The digit vectors of the given elements, concatenated."""
@@ -218,21 +241,24 @@ class FieldTower:
         p = self.p
         return sum((c % p) * w for c, w in zip(vec, self._pw))
 
-    def _build_tables(self, generator_poly: tuple[int, ...]) -> None:
-        p, m, order = self.p, self.m, self.order
+    def _charge(self, cost: int) -> bool:
+        """Charge `cost` table-free products; once the charges reach
+        `_build_at`, build the exp/log tables.  True iff the tables exist."""
+        self._spent += cost
+        if self._spent < self._build_at:
+            return False
+        self._build_tables()
+        return True
+
+    def _build_tables(self) -> None:
+        order = self.order
         size = order - 1
-        # base-p digit tuples of the codes below p^h, h = ceil(m/2); the
-        # walk's addition tables and the full digits table are built from them
-        h = (m + 1) // 2
-        half: list[tuple[int, ...]] = [()]
-        for _ in range(h):
-            half = [t + (d,) for d in range(p) for t in half]
         # the powers of the generator, by shift-and-reduce on integer codes
         # when it is x, else by generic polynomial multiplication
-        if generator_poly == (0, 1):
-            exp, last = self._walk_x(half, size)
+        if self._generator_poly == (0, 1):
+            exp, last = self._walk_x(self._half, size)
         else:
-            exp, last = self._walk_poly(generator_poly, size)
+            exp, last = self._walk_poly(self._generator_poly, size)
         # g^size = 1 for every nonzero g; g has order size only if also
         # g^(size/r) != 1 for each prime r dividing size
         if last != 1 or any(exp[size // r] == 1 for r in _factorize(size)):
@@ -243,9 +269,6 @@ class FieldTower:
         exp += exp  # two periods, so mul indexes log a + log b directly
         self._exp = exp
         self._log = log
-        self.generator = exp[1]
-        high = [t[:m - h] for t in half[:p ** (m - h)]]
-        self._digits = [lo + hi for hi in high for lo in half]
 
     def _walk_x(self, half: list[tuple[int, ...]], size: int) -> tuple[list[int], int]:
         """Codes of x^0 .. x^(size-1) by shift-and-reduce, and the code of x^size.
@@ -363,13 +386,17 @@ class FieldTower:
             w *= P
         return out
 
+    # mul, inv, pow and frobenius take the table route once the tables
+    # exist, and until then the polynomial route, charged in _pmulmod calls:
+    # 1 for a product, 2 * bit_length(k) for a k-th power
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        prod = _pmulmod(self.digits(a), self.digits(b), self.modulus, self.p)
-        return self._encode_poly(prod)
+        if self._exp is None and not self._charge(1):
+            prod = _pmulmod(self.digits(a), self.digits(b), self.modulus, self.p)
+            return self._encode_poly(prod)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -386,9 +413,9 @@ class FieldTower:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         k %= self.order - 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * k) % (self.order - 1)]
-        return self._encode_poly(_ppowmod(self.digits(a), k, self.modulus, self.p))
+        if self._exp is None and not self._charge(2 * k.bit_length()):
+            return self._encode_poly(_ppowmod(self.digits(a), k, self.modulus, self.p))
+        return self._exp[(self._log[a] * k) % (self.order - 1)]
 
     # -- Frobenius, subfields, trace, norm ---------------------------------
 

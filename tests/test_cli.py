@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermcodes
-from hermcodes import ConstructionParams, build, scheme
+from hermcodes import ConstructionParams, build, gf, scheme
 from hermcodes.cli import CHECKS, _run_check, build_parser, main
 from hermcodes.hermitian import code_to_dict
 from hermcodes.scheme import DEFAULT_BUDGET
@@ -129,6 +129,24 @@ def test_verify_kernel_witness(tmp_path, capsys):
     kernel = next(r for r in data["reports"] if r["check"] == "kernel")
     assert kernel["witness"]["order"] == "9"
     assert kernel["witness"]["structure"] == "field"
+
+
+def test_light_q9_calls_stay_table_free_and_a_kernel_builds_tables(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a tower builds its exp/log tables only once its charged work would pay
+    # for them: construct, dual and a light verify of E(3,3,1) at q=9 never do
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    path = construct(tmp_path, capsys, "E", "--q", "9", "--n", "3", "--d", "3", "--s", "1")
+    rc, _ = run(["dual", "--code", path, "--out", str(tmp_path / "dual.json")], capsys)
+    assert rc == 0
+    rc, _ = run(["verify", "--code", path, "--checks", "bound,mindist"], capsys)
+    assert rc == 0
+    assert gf.make_tower(3, 2, 3)._exp is None
+    # the kernel's F_p-algebra solve on H(3,2,1) at q=3 does build them
+    path = construct(tmp_path, capsys, "H", "--q", "3", "--n", "3", "--d", "2", "--s", "1")
+    rc, _ = run(["verify", "--code", path, "--checks", "kernel"], capsys)
+    assert rc == 0
+    assert gf.make_tower(3, 1, 3)._exp is not None
 
 
 def test_verify_budget_exceeded_is_inconclusive(tmp_path, capsys):

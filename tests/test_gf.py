@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -269,9 +270,11 @@ def test_tables_match_generic_walk(monkeypatch, args, modulus, generator):
     for i, a in enumerate(exp):
         log[a] = i
     assert t.generator == generator
+    assert t._exp is None  # no work charged yet
+    t._build_tables()
     assert t._exp == exp + exp
     assert t._log == log
-    assert t._digits == [_digits_of(a, p, m) for a in range(t.order)]
+    assert all(t.digits(a) == _digits_of(a, p, m) for a in range(t.order))
 
 
 @pytest.mark.parametrize("p, modulus, generator", [
@@ -290,6 +293,7 @@ def test_q9_tower_tables(monkeypatch):
     t = make_tower(3, 2, 3)
     size = t.order - 1
     assert t.generator == 3
+    t._build_tables()
     assert all(t._log[t._exp[i]] == i for i in range(size))
     assert t._exp[size:] == t._exp[:size]
     rng = random.Random(11)
@@ -297,6 +301,51 @@ def test_q9_tower_tables(monkeypatch):
         a, b = rng.randrange(1, t.order), rng.randrange(1, t.order)
         prod = gf._pmulmod(t.digits(a), t.digits(b), t.modulus, t.p)
         assert t.mul(a, b) == t.from_digits(prod + (0,) * (t.m - len(prod)))
+
+
+@pytest.mark.parametrize("args, modulus", [
+    ((2, 1, 3), None), ((3, 1, 3), None), ((5, 1, 3), None),
+    ((3, 2, 3), None), ((7, 1, 3), None),
+    ((3, 1, 1), [1, 0, 1]),                     # x^2 + 1: generator is not x
+    ((2, 1, 3), [1, 1, 1, 0, 1, 0, 1]),         # x^6 + x^4 + x^2 + x + 1: likewise
+])
+def test_table_free_route_matches_tables(monkeypatch, args, modulus):
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    t = make_tower(*args, modulus=modulus)
+    t._build_at = math.inf  # hold the table-free route for the first pass
+    rng = random.Random(sum(args))
+    count = 8 if t.order > 20000 else 25
+    xs = [0, 1, t.order - 1] + [rng.randrange(1, t.order) for _ in range(count)]
+    ks = [0, 1, 2, -1, -3, t.order - 2, t.order - 1, t.order, 3 * t.order + 5,
+          rng.randrange(t.order)]
+    frob = range(-2 * t.n, 2 * t.n + 1)
+
+    def results():
+        return ([t.mul(a, b) for a in xs for b in xs[:6]],
+                [t.inv(a) for a in xs if a],
+                [t.pow(a, k) for a in xs for k in ks if a or k >= 0],
+                [t.frobenius(a, k) for a in xs for k in frob])
+
+    table_free = results()
+    assert t._exp is None
+    t._build_tables()
+    assert results() == table_free
+
+
+def test_tables_are_built_once_the_charge_reaches_the_threshold(monkeypatch):
+    monkeypatch.setattr(gf, "_TOWERS", {})
+    t = make_tower(3, 1, 3)
+    assert t._build_at == t.order // (gf._BUILD_PER_DIGIT * t.m)
+    for _ in range(t._build_at - 1):
+        assert t.mul(2, 4) == 8  # 2 * (1 + x) = 2 + 2x
+    assert t._exp is None
+    t.pow(3, 5)  # charges 2 * bit_length(5) = 6 more products
+    assert t._exp is not None
+    # above the table limit the tower never builds
+    big = make_tower(3, 1, 7)
+    assert big._build_at == math.inf
+    big.mul(5, 7)
+    assert big._exp is None
 
 
 def test_tower_serialization_round_trip(tower_q3):
@@ -319,6 +368,7 @@ def test_chunked_add_matches_digitwise(args):
     pairs += [(0, 0), (t.order - 1, t.order - 1), (0, t.order - 1)]
     for a, b in pairs:
         da, db = _digits_of(a, p, m), _digits_of(b, p, m)
+        assert t.digits(a) == da and t.digits(b) == db
         assert t.add(a, b) == t.from_digits([x + y for x, y in zip(da, db)])
         assert t.sub(a, b) == t.from_digits([x - y for x, y in zip(da, db)])
         assert t.neg(b) == t.from_digits([-y for y in db])
