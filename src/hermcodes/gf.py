@@ -15,14 +15,19 @@ inputs therefore always produce identical towers, and the canonical
 generator is always the residue class of x.
 
 A tower starts without exp/log tables: `mul`, `inv`, `pow` and `frobenius`
-multiply digit tuples as polynomials, and each call charges its count of
-polynomial products to the tower.  A field of order up to 2^20 builds its
-exp and log tables once the charges reach about the cost of the build;
-from then on `mul` is two lookups.  So light work on a large field, such
-as constructing one code at q = 9, never builds, while a long analysis
-builds early.  The exp table walks the powers of the generator.  When the
-generator is x, which holds for every default modulus and for any
-supplied modulus whose root x is primitive, each step is a
+multiply residues in F_p[x]/(modulus), and each call charges its count of
+polynomial products to the tower.  Where m(p-1)^2 <= 255 (every p <= 5 and
+p = 7 up to m = 6) a residue is packed one coefficient per byte lane of an
+integer, and a product is one integer product reduced mod p lane-wise and
+then mod the modulus by a Barrett step (`_LaneRing`); a code is packed and
+unpacked through tables of its two halves.  Other fields multiply
+coefficient tuples by the schoolbook (`_pmulmod`).  A field of order up to
+2^20 builds its exp and log tables once the charges reach a fixed share of
+the cost of the build; from then on `mul` is two lookups.  So light work on
+a large field, such as constructing one code at q = 9, never builds, while
+a long analysis builds early.  The exp table walks the powers of the
+generator.  When the generator is x, which holds for every default modulus
+and for any supplied modulus whose root x is primitive, each step is a
 shift-and-reduce on the integer code (XOR for p = 2, two table lookups
 for odd p).  Otherwise each step is a generic polynomial multiplication.
 `digits` joins the digit tuples of the low and high halves of a code, two
@@ -54,13 +59,16 @@ from typing import Iterable, Sequence
 # polynomial route.  Either route gives the same codes.
 _TABLE_LIMIT = 1 << 20
 _ORDER_LIMIT = 1 << 32
-# The build threshold, in table-free products: order // (_BUILD_PER_DIGIT * m).
-# A table-free product costs about 2m us (10-13 us at m = 6, 16 at m = 8,
-# 25-34 at m = 12, 47-55 at m = 18-20; CPython 3.11, 2-vCPU host) and the
-# exp/log build 0.2-0.5 us per element, so order / (6m) products cost about
-# as much as the build.  Building there keeps a tower within about 3x the
-# cheaper route whether its work stops early or runs on.
-_BUILD_PER_DIGIT = 6
+# The build threshold, in table-free products: order // _BUILD_DIVISOR.
+# A table-free `mul` costs 2.0-3.6 us at every m from 2 to 20 on byte lanes
+# (a charged product inside `pow` about half that), and the exp/log build
+# 0.2-0.5 us per element (CPython 3.11, 2-vCPU host), so the build costs
+# about as much as order / 7 to order / 18 products.  The tower builds
+# after a fifth to a half of those: the analyses that reach the threshold
+# run on far past the build, and pay at most half of it first, while the
+# light CLI calls (at most 2,354 products on the q = 9 field, a sixth of
+# its threshold) never build.
+_BUILD_DIVISOR = 36
 # Odd-p addition works on chunks of base-p digits through a table indexed by
 # a pair of chunks; the table has at most this many entries.
 _CHUNK_LIMIT = 1 << 14
@@ -82,8 +90,9 @@ def _factorize(v: int) -> dict[int, int]:
 
 # -- dense F_p[x] helpers -----------------------------------------------------
 #
-# Used only for modulus search and validation; everything afterwards runs on
-# integer codes.  Polynomials are little-endian coefficient tuples.
+# The table-free route, the modulus search and the validation of supplied
+# moduli all compute in F_p[x]/(mod) through a _PolyRing.  Polynomials are
+# little-endian coefficient tuples.
 
 
 def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
@@ -94,6 +103,8 @@ def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def _pmulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> tuple[int, ...]:
+    """Schoolbook product mod the monic `mod`: the route for moduli whose
+    byte lanes could overflow, and the tests' oracle for the lane route."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
@@ -108,17 +119,6 @@ def _pmulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> 
             for j in range(m):
                 out[k - m + j] = (out[k - m + j] - c * mod[j]) % p
     return _ptrim(out)
-
-
-def _ppowmod(a: Sequence[int], k: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _ptrim(a)
-    while k:
-        if k & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        k >>= 1
-    return result
 
 
 def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
@@ -143,18 +143,116 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return a
 
 
+class _PolyRing:
+    """F_p[x]/(mod) for a monic `mod` of degree m, by schoolbook products.
+
+    Residues are trimmed coefficient tuples; `_poly_ring` picks this class
+    only where the byte lanes of `_LaneRing` could overflow.  `pack` takes
+    a reduced coefficient tuple (degree below m, entries in [0, p)) to the
+    ring's residue, `unpack` takes a residue back to a trimmed tuple, and
+    `one` is the residue 1.
+    """
+
+    __slots__ = ("p", "m", "mod")
+    one: int | tuple[int, ...] = (1,)
+
+    def __init__(self, mod: Sequence[int], p: int):
+        self.p = p
+        self.mod = tuple(mod)
+        self.m = len(mod) - 1
+
+    def pack(self, poly: Sequence[int]):
+        return _ptrim(poly)
+
+    def unpack(self, r) -> tuple[int, ...]:
+        return r
+
+    def mul(self, a, b):
+        return _pmulmod(a, b, self.mod, self.p)
+
+    def pow(self, a, k: int):
+        """a^k for k >= 0, by left-to-right square-and-multiply."""
+        if k == 0:
+            return self.one
+        result = a
+        for bit in bin(k)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+class _LaneRing(_PolyRing):
+    """F_p[x]/(mod) on byte lanes, for m >= 2 and m(p-1)^2 <= 255.
+
+    A residue is one integer with a byte lane per coefficient, constant term
+    lowest.  The product of two residues is one integer product (Kronecker
+    substitution): lane k holds sum_{i+j=k} a_i b_j <= m(p-1)^2, so no lane
+    carries, and `bytes.translate` reduces the 2m-1 lanes mod p at once.
+    The product c is reduced by an exact polynomial Barrett step, with the
+    constants mu = floor(x^(2m-2) / mod) and -mod's low part packed once:
+
+        quot = floor(floor(c / x^m) * mu / x^(m-2)),
+        c mod mod = (c mod x^m) - quot * (mod - x^m) mod x^m,
+
+    which is exact over a field for every c of degree <= 2m-2, and whose
+    lanes stay below m(p-1)^2 as well.
+    """
+
+    __slots__ = ("_mu", "_neg_low", "_mask", "_translate")
+    one = 1
+
+    def __init__(self, mod: Sequence[int], p: int):
+        super().__init__(mod, p)
+        m, mod = self.m, self.mod
+        # mu by long division of x^(2m-2), degree m-2
+        rem = [0] * (2 * m - 2) + [1]
+        mu = [0] * (m - 1)
+        for k in range(2 * m - 2, m - 1, -1):
+            c = rem[k]
+            if c:
+                mu[k - m] = c
+                for j in range(m + 1):
+                    rem[k - m + j] = (rem[k - m + j] - c * mod[j]) % p
+        self._mu = int.from_bytes(bytes(mu), "little")
+        self._neg_low = int.from_bytes(bytes((-c) % p for c in mod[:m]), "little")
+        self._mask = (1 << (8 * m)) - 1
+        self._translate = bytes(b % p for b in range(256))
+
+    def pack(self, poly: Sequence[int]) -> int:
+        return int.from_bytes(bytes(poly), "little")
+
+    def unpack(self, r: int) -> tuple[int, ...]:
+        return _ptrim(r.to_bytes(self.m, "little"))
+
+    def mul(self, a: int, b: int) -> int:
+        m, t, mask = self.m, self._translate, self._mask
+        c = int.from_bytes((a * b).to_bytes(2 * m - 1, "little").translate(t), "little")
+        quot = ((c >> (8 * m)) * self._mu) >> (8 * m - 16)
+        quot = int.from_bytes(quot.to_bytes(m - 1, "little").translate(t), "little")
+        r = ((c & mask) + quot * self._neg_low) & mask
+        return int.from_bytes(r.to_bytes(m, "little").translate(t), "little")
+
+
+def _poly_ring(mod: Sequence[int], p: int) -> _PolyRing:
+    """F_p[x]/(mod) on byte lanes where no lane can overflow, else schoolbook."""
+    m = len(mod) - 1
+    return (_LaneRing if m >= 2 and m * (p - 1) ** 2 <= 255 else _PolyRing)(mod, p)
+
+
 def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     """Rabin test: x^{p^m} = x mod f, and gcd(x^{p^{m/r}} - x, f) trivial."""
     m = len(mod) - 1
     if m < 1 or mod[-1] != 1:
         return False
-    xp = (0, 1)
+    ring = _poly_ring(mod, p)
+    xp = ring.pack((0, 1))
     powers = []
     for _ in range(m):
-        xp = _ppowmod(xp, p, mod, p)
-        powers.append(xp)
+        xp = ring.pow(xp, p)
+        powers.append(ring.unpack(xp))
     # x mod f is x itself unless m = 1
-    if _ptrim(powers[-1]) != _pmod((0, 1), mod, p):
+    if powers[-1] != _pmod((0, 1), mod, p):
         return False
     for r in _factorize(m):
         k = m // r
@@ -166,14 +264,12 @@ def _is_irreducible(mod: Sequence[int], p: int) -> bool:
     return True
 
 
-def _element_order_is(a_poly: Sequence[int], target: int, mod: Sequence[int], p: int) -> bool:
+def _element_order_is(ring: _PolyRing, a_poly: Sequence[int], target: int) -> bool:
     """True iff the residue class of a_poly has multiplicative order `target`."""
-    if _ppowmod(a_poly, target, mod, p) != (1,):
+    a, one = ring.pack(a_poly), ring.one
+    if ring.pow(a, target) != one:
         return False
-    for r in _factorize(target):
-        if _ppowmod(a_poly, target // r, mod, p) == (1,):
-            return False
-    return True
+    return all(ring.pow(a, target // r) != one for r in _factorize(target))
 
 
 class FieldTower:
@@ -186,7 +282,8 @@ class FieldTower:
     __slots__ = ("p", "e", "n", "m", "q", "order", "modulus", "generator",
                  "_generator_poly", "_exp", "_log", "_spent", "_build_at",
                  "_half", "_half_size", "_frob_exp", "_pw", "cache",
-                 "_chunk", "_chunks", "_add_t", "_neg_t")
+                 "_chunk", "_chunks", "_add_t", "_neg_t",
+                 "_ring", "_lane_lo", "_lane_hi", "_lane_code", "_lane_mask")
 
     def __init__(self, p: int, e: int, n: int, modulus: tuple[int, ...], generator_poly: tuple[int, ...]):
         self.p = p
@@ -200,7 +297,8 @@ class FieldTower:
         self.cache: dict = {}  # derived per-tower tables, shared via interning
         if p != 2:
             self._build_chunk_tables()
-        if not _element_order_is(generator_poly, self.order - 1, modulus, p):
+        self._ring = ring = _poly_ring(modulus, p)
+        if not _element_order_is(ring, generator_poly, self.order - 1):
             raise AssertionError("generator order mismatch: not a primitive element")
         self._generator_poly = generator_poly
         self.generator = self._encode_poly(generator_poly)
@@ -210,12 +308,21 @@ class FieldTower:
         for _ in range(m // 2):
             half = [t + (d,) for d in range(p) for t in half]
         self._half, self._half_size = half, p ** (m // 2)
-        # exp/log tables wait until the table-free work would have paid for
-        # them (see _BUILD_PER_DIGIT), and are never built above _TABLE_LIMIT
+        # on a lane ring, the half codes packed as the low and the high m/2
+        # byte lanes (4m bits) of a residue, and the half code of each
+        # packed low half
+        self._lane_lo = self._lane_hi = self._lane_code = self._lane_mask = None
+        if isinstance(ring, _LaneRing):
+            self._lane_lo = [int.from_bytes(bytes(t), "little") for t in half]
+            self._lane_hi = [v << (4 * m) for v in self._lane_lo]
+            self._lane_code = {v: i for i, v in enumerate(self._lane_lo)}
+            self._lane_mask = (1 << (4 * m)) - 1
+        # exp/log tables wait until the table-free work has paid a share of
+        # them (see _BUILD_DIVISOR), and are never built above _TABLE_LIMIT
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._spent = 0
-        self._build_at = (self.order // (_BUILD_PER_DIGIT * m)
+        self._build_at = (self.order // _BUILD_DIVISOR
                           if self.order <= _TABLE_LIMIT else math.inf)
         # q^k mod (order-1) for k in 0..2n-1, the Frobenius exponent lattice
         self._frob_exp = [pow(self.q, k, self.order - 1) for k in range(2 * n)]
@@ -224,6 +331,20 @@ class FieldTower:
 
     def _encode_poly(self, poly: Sequence[int]) -> int:
         return sum(c * w for c, w in zip(poly, self._pw))
+
+    def _to_ring(self, a: int) -> int | tuple[int, ...]:
+        """The residue of code `a` in the tower's _PolyRing."""
+        if self._lane_lo is None:
+            return self.digits(a)
+        size = self._half_size
+        return self._lane_lo[a % size] | self._lane_hi[a // size]
+
+    def _from_ring(self, r: int | tuple[int, ...]) -> int:
+        """The code of a residue in the tower's _PolyRing."""
+        if self._lane_lo is None:
+            return self._encode_poly(r)
+        code = self._lane_code
+        return code[r & self._lane_mask] + self._half_size * code[r >> (4 * self.m)]
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of `a` in the power basis, constant term first."""
@@ -312,12 +433,14 @@ class FieldTower:
         """Codes of g^0 .. g^(size-1) by generic polynomial multiplication,
         and the code of g^size; the route for a supplied modulus whose root
         x is not primitive."""
+        ring = self._ring
+        gen = ring.pack(generator_poly)
         exp = [0] * size
-        cur: tuple[int, ...] = (1,)
+        cur = ring.one
         for i in range(size):
-            exp[i] = self._encode_poly(cur)
-            cur = _pmulmod(cur, generator_poly, self.modulus, self.p)
-        return exp, self._encode_poly(cur)
+            exp[i] = self._from_ring(cur)
+            cur = ring.mul(cur, gen)
+        return exp, self._from_ring(cur)
 
     # -- ring operations ---------------------------------------------------
 
@@ -387,15 +510,15 @@ class FieldTower:
         return out
 
     # mul, inv, pow and frobenius take the table route once the tables
-    # exist, and until then the polynomial route, charged in _pmulmod calls:
-    # 1 for a product, 2 * bit_length(k) for a k-th power
+    # exist, and until then the polynomial route through the tower's
+    # _PolyRing, charged in products: 1 for a product, 2 * bit_length(k)
+    # for a k-th power
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self._exp is None and not self._charge(1):
-            prod = _pmulmod(self.digits(a), self.digits(b), self.modulus, self.p)
-            return self._encode_poly(prod)
+            return self._from_ring(self._ring.mul(self._to_ring(a), self._to_ring(b)))
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -414,7 +537,7 @@ class FieldTower:
             return 0
         k %= self.order - 1
         if self._exp is None and not self._charge(2 * k.bit_length()):
-            return self._encode_poly(_ppowmod(self.digits(a), k, self.modulus, self.p))
+            return self._from_ring(self._ring.pow(self._to_ring(a), k))
         return self._exp[(self._log[a] * k) % (self.order - 1)]
 
     # -- Frobenius, subfields, trace, norm ---------------------------------
@@ -538,7 +661,10 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Least monic irreducible of degree m over F_p whose root is primitive.
 
     Candidates are ordered by the base-p integer encoding of their low
-    coefficient vector, so the choice is reproducible everywhere.
+    coefficient vector, so the choice is reproducible everywhere.  No
+    irreducibility test is needed: if x has order p^m - 1 modulo f, the
+    units of F_p[x]/(f) number at least p^m - 1, so every nonzero residue
+    is a unit, F_p[x]/(f) is a field and f is irreducible.
     """
     target = p ** m - 1
     for k in range(p ** m):
@@ -550,9 +676,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         cand = tuple(low) + (1,)
         if cand[0] == 0:  # divisible by x
             continue
-        if not _is_irreducible(cand, p):
-            continue
-        if _element_order_is((0, 1), target, cand, p):
+        if _element_order_is(_poly_ring(cand, p), (0, 1), target):
             return cand
     raise AssertionError(f"no primitive irreducible of degree {m} over F_{p}")
 
@@ -605,13 +729,14 @@ def make_tower(p: int, e: int, n: int, modulus: Sequence[int] | None = None) -> 
 def _find_primitive(mod: tuple[int, ...], p: int, m: int) -> tuple[int, ...]:
     """Least element (by code) of maximal multiplicative order."""
     target = p ** m - 1
+    ring = _poly_ring(mod, p)
     for code in range(2, p ** m):
         poly = []
         v = code
         for _ in range(m):
             v, r = divmod(v, p)
             poly.append(r)
-        if _element_order_is(_ptrim(poly), target, mod, p):
+        if _element_order_is(ring, _ptrim(poly), target):
             return _ptrim(poly)
     raise AssertionError("no primitive element found in a finite field")
 

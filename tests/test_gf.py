@@ -259,7 +259,7 @@ def test_tables_match_generic_walk(monkeypatch, args, modulus, generator):
     monkeypatch.setattr(gf, "_TOWERS", {})
     t = make_tower(*args, modulus=modulus)
     p, m, size = t.p, t.m, t.order - 1
-    # powers of the expected generator by plain polynomial multiplication
+    # powers of the expected generator by the schoolbook product
     gen = gf._ptrim(_digits_of(generator, p, m))
     exp, cur = [], (1,)
     for _ in range(size):
@@ -308,6 +308,7 @@ def test_q9_tower_tables(monkeypatch):
     ((3, 2, 3), None), ((7, 1, 3), None),
     ((3, 1, 1), [1, 0, 1]),                     # x^2 + 1: generator is not x
     ((2, 1, 3), [1, 1, 1, 0, 1, 0, 1]),         # x^6 + x^4 + x^2 + x + 1: likewise
+    ((13, 1, 2), None),                         # schoolbook: lanes would overflow
 ])
 def test_table_free_route_matches_tables(monkeypatch, args, modulus):
     monkeypatch.setattr(gf, "_TOWERS", {})
@@ -335,7 +336,7 @@ def test_table_free_route_matches_tables(monkeypatch, args, modulus):
 def test_tables_are_built_once_the_charge_reaches_the_threshold(monkeypatch):
     monkeypatch.setattr(gf, "_TOWERS", {})
     t = make_tower(3, 1, 3)
-    assert t._build_at == t.order // (gf._BUILD_PER_DIGIT * t.m)
+    assert t._build_at == t.order // gf._BUILD_DIVISOR
     for _ in range(t._build_at - 1):
         assert t.mul(2, 4) == 8  # 2 * (1 + x) = 2 + 2x
     assert t._exp is None
@@ -346,6 +347,56 @@ def test_tables_are_built_once_the_charge_reaches_the_threshold(monkeypatch):
     assert big._build_at == math.inf
     big.mul(5, 7)
     assert big._exp is None
+
+
+@pytest.mark.parametrize("args, modulus, lanes", [
+    ((2, 1, 16), None, True),                   # m = 32
+    ((3, 1, 10), None, True),                   # m = 20
+    ((5, 2, 3), None, True),
+    ((7, 1, 3), None, True),                    # m(p-1)^2 = 216, the byte boundary
+    ((3, 1, 1), [1, 0, 1], True),               # m = 2: x^2 + 1 over F_3
+    ((13, 1, 2), None, False),                  # wide lanes: the schoolbook
+    ((7, 1, 4), None, False),
+])
+def test_lane_product_matches_schoolbook(args, modulus, lanes):
+    t = make_tower(*args, modulus=modulus)
+    p, m, ring = t.p, t.m, t._ring
+    assert isinstance(ring, gf._LaneRing) == lanes
+    assert isinstance(gf._poly_ring(t.modulus, p), gf._LaneRing) == lanes
+    rng = random.Random(sum(args))
+    top = t.order - 1  # every digit p - 1: the fullest lanes
+    codes = [0, 1, top, top - 1] + [rng.randrange(t.order) for _ in range(60)]
+    for a, b in zip(codes, codes[1:] + [top]):
+        da, db = t.digits(a), t.digits(b)
+        prod = gf._pmulmod(da, db, t.modulus, p)
+        assert ring.unpack(ring.mul(ring.pack(da), ring.pack(db))) == prod
+        assert t._from_ring(t._ring.mul(t._to_ring(a), t._to_ring(b))) == t._encode_poly(prod)
+    for a, k in [(top, 2), (codes[4], 5), (codes[5], 0), (codes[6], 1), (codes[7], 37)]:
+        cur = (1,)
+        for _ in range(k):
+            cur = gf._pmulmod(cur, t.digits(a), t.modulus, p)
+        assert ring.unpack(ring.pow(ring.pack(t.digits(a)), k)) == cur
+
+
+def _two_test_default_modulus(p, m):
+    """The default-modulus search with a Rabin test before the order test."""
+    for k in range(p ** m):
+        cand = _digits_of(k, p, m) + (1,)
+        if (cand[0] and gf._is_irreducible(cand, p)
+                and gf._element_order_is(gf._poly_ring(cand, p), (0, 1), p ** m - 1)):
+            return cand
+
+
+@pytest.mark.parametrize("p, ms", [(2, range(6, 13)), (3, range(4, 13)),
+                                   (5, range(2, 7)), (7, range(2, 7))])
+def test_default_modulus_needs_no_irreducibility_test(monkeypatch, p, ms):
+    expected = {m: _two_test_default_modulus(p, m) for m in ms}
+
+    def refuse(mod, p):
+        raise AssertionError("the default-modulus search ran a Rabin test")
+
+    monkeypatch.setattr(gf, "_is_irreducible", refuse)
+    assert {m: gf._default_modulus(p, m) for m in ms} == expected
 
 
 def test_tower_serialization_round_trip(tower_q3):
