@@ -50,6 +50,7 @@ time an operation takes.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -86,6 +87,19 @@ def _factorize(v: int) -> dict[int, int]:
     if v > 1:
         out[v] = out.get(v, 0) + 1
     return out
+
+
+def pack_lanes(values: Iterable[int]) -> int:
+    """Integers in [0, 256) as one integer with a byte lane each, the first
+    in the lowest byte: the format of `_LaneRing` residues and of the
+    F_p rows of `linalg` at 3 <= p <= 13."""
+    return int.from_bytes(bytes(values), "little")
+
+
+@functools.cache
+def lane_mod_table(p: int) -> bytes:
+    """The `bytes.translate` table that reduces every byte lane mod p."""
+    return bytes(b % p for b in range(256))
 
 
 # -- dense F_p[x] helpers -----------------------------------------------------
@@ -214,13 +228,13 @@ class _LaneRing(_PolyRing):
                 mu[k - m] = c
                 for j in range(m + 1):
                     rem[k - m + j] = (rem[k - m + j] - c * mod[j]) % p
-        self._mu = int.from_bytes(bytes(mu), "little")
-        self._neg_low = int.from_bytes(bytes((-c) % p for c in mod[:m]), "little")
+        self._mu = pack_lanes(mu)
+        self._neg_low = pack_lanes((-c) % p for c in mod[:m])
         self._mask = (1 << (8 * m)) - 1
-        self._translate = bytes(b % p for b in range(256))
+        self._translate = lane_mod_table(p)
 
     def pack(self, poly: Sequence[int]) -> int:
-        return int.from_bytes(bytes(poly), "little")
+        return pack_lanes(poly)
 
     def unpack(self, r: int) -> tuple[int, ...]:
         return _ptrim(r.to_bytes(self.m, "little"))
@@ -313,7 +327,7 @@ class FieldTower:
         # packed low half
         self._lane_lo = self._lane_hi = self._lane_code = self._lane_mask = None
         if isinstance(ring, _LaneRing):
-            self._lane_lo = [int.from_bytes(bytes(t), "little") for t in half]
+            self._lane_lo = [pack_lanes(t) for t in half]
             self._lane_hi = [v << (4 * m) for v in self._lane_lo]
             self._lane_code = {v: i for i, v in enumerate(self._lane_lo)}
             self._lane_mask = (1 << (4 * m)) - 1

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .gf import FieldTower, make_tower
 from .linalg import (FpSpan, nullspace_mod_p, rank_subfield_matrix, solve_mod_p,
-                     span_walk)
+                     span_walk, vector_add)
 from .linpoly import LinPoly
 
 
@@ -264,7 +264,8 @@ class HermCode:
     def iter_span(self) -> Iterable[LinPoly]:
         """All codewords, by odometer over F_p generator coordinates."""
         t = self.tower
-        for cur in span_walk(t, [g.coeffs for g in self.generators], t.n):
+        for cur in span_walk(t.p, [g.coeffs for g in self.generators], [0] * t.n,
+                             vector_add(t)):
             yield LinPoly(t, cur)
 
     def elements(self) -> list[LinPoly]:
@@ -306,7 +307,7 @@ def matrix_span(tower: FieldTower, generators: Sequence[HermMatrix]) -> list[Her
     n = tower.n
     states = [g.entry_vector() for g in generators]
     return [HermMatrix(tower, [state[r * n:(r + 1) * n] for r in range(n)])
-            for state in span_walk(tower, states, n * n)]
+            for state in span_walk(tower.p, states, [0] * (n * n), vector_add(tower))]
 
 
 def matrix_code_rank_distribution(matrices: Iterable[HermMatrix]) -> tuple[int, ...]:

@@ -2,28 +2,62 @@
 
 All F_p elimination goes through one routine, `_echelon`, which streams
 vectors into an echelon basis and drops every vector that reduces to zero,
-so a dependent row costs one reduction and is never touched again.  At
-p = 2 a row is a Python int (bit i is entry i) and a row operation is one
-XOR; at odd p a row is a list of residues.  Reduced forms are built from
-that basis and are unique, so identical inputs give identical outputs.
+so a dependent row costs one reduction and is never touched again.  The
+row format is picked from p:
+
+* p = 2: a row is a Python int, bit i entry i, and a row operation is one XOR;
+* 3 <= p <= 13: a row is a Python int with one byte lane per entry, entry i
+  in byte i (`gf.pack_lanes`), and a row operation is one integer
+  multiply-add v + c * row, c in [0, p), and one `bytes.translate` mod p.
+  No lane carries, since (p - 1) + (p - 1)^2 <= 156 < 256, which fails
+  from p = 17 on;
+* p >= 17: a row is a list of residues.
+
+Reduced forms are built from that basis and are unique, so identical inputs
+give identical outputs, in every format.
+
+`span_walk` is the one odometer over F_p-combinations of generator states,
+in any format with an `add`: lists of element codes (`vector_add`) or the
+packed words of `pack_word`, which hold a square digit matrix in the row
+format, so an odometer step of the inner distribution is one integer add
+and one `translate` at 3 <= p <= 13.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+from typing import Callable, Iterable, Sequence
 
-from .gf import FieldTower
+from .gf import FieldTower, lane_mod_table, pack_lanes
+
+# the primes whose rows are byte lanes: (p - 1) + (p - 1)^2 <= 255
+_LANES = range(3, 14)
 
 
-def _echelon(vecs: Iterable, p: int, basis: dict | None = None) -> dict:
-    """Stream vectors into an echelon basis over F_p; returns the basis,
-    extended in place when one is given.
+def _mod_lanes(x: int, width: int, p: int) -> int:
+    """The `width` byte lanes of x, each reduced mod p."""
+    return int.from_bytes(x.to_bytes(width, "little").translate(lane_mod_table(p)), "little")
 
-    At p = 2 the vectors are ints and the basis maps the lowest set bit of
-    each row to the row.  At odd p the vectors are lists of residues in
-    [0, p), which are consumed, and the basis maps each pivot column pc to
-    row[pc:] of a row that is 1 at pc, zero left of it and zero at the
-    pivots of the rows before it (insertion order).
+
+@functools.cache
+def _clearing(p: int) -> list:
+    """c[g][f] = -f/g mod p: a row whose pivot entry is g, times c[g][f],
+    clears the entry f at that pivot."""
+    return [[(-f * pow(g, p - 2, p)) % p for f in range(p)] for g in range(p)]
+
+
+def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None) -> dict:
+    """Stream rows of `width` entries into an echelon basis over F_p;
+    returns the basis, extended in place when one is given.
+
+    Each row is reduced at the pivot of its lowest nonzero entry, while
+    the basis has a row there, and joins the basis when it has none.
+    At p = 2 the basis maps the lowest set bit of each row to the row.  On
+    byte lanes it maps each pivot column pc to (row, c), the row as it
+    joined (zero left of pc) and c = `_clearing(p)` at its entry g at pc,
+    so it is never normalised.  For residue lists, which are consumed, it
+    maps pc to row[pc:] of a row that is 1 at pc, zero left of it and zero
+    at the pivots of the rows before it (insertion order).
     """
     if basis is None:
         basis = {}
@@ -36,6 +70,19 @@ def _echelon(vecs: Iterable, p: int, basis: dict | None = None) -> dict:
                 else:
                     basis[low] = v
                     break
+        return basis
+    if p in _LANES:
+        table, clearing = lane_mod_table(p), _clearing(p)
+        for v in vecs:
+            while v:
+                shift = (v & -v).bit_length() - 1 & -8  # 8 * the lowest nonzero lane
+                entry = basis.get(shift >> 3)
+                if entry is None:
+                    basis[shift >> 3] = (v, clearing[v >> shift & 255])
+                    break
+                row, c = entry
+                v = int.from_bytes((v + c[v >> shift & 255] * row)
+                                   .to_bytes(width, "little").translate(table), "little")
         return basis
     for v in vecs:
         for pc, row in basis.items():
@@ -51,9 +98,11 @@ def _echelon(vecs: Iterable, p: int, basis: dict | None = None) -> dict:
 
 
 def _pack(vec: Sequence[int], p: int):
-    """A row in `_echelon`'s format: an int at p = 2, a residue list at odd p."""
+    """A row in `_echelon`'s format for p."""
     if p == 2:
         return int("".join("1" if a & 1 else "0" for a in reversed(vec)) or "0", 2)
+    if p in _LANES:
+        return pack_lanes(a % p for a in vec)
     return [a % p for a in vec]
 
 
@@ -62,7 +111,7 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], 
     if not rows:
         return [], []
     ncols = len(rows[0])
-    basis = _echelon([_pack(r, p) for r in rows], p)
+    basis = _echelon([_pack(r, p) for r in rows], p, ncols)
     keys = sorted(basis)
     # back-substitute from the last pivot; each row is zero left of its pivot
     if p == 2:
@@ -73,6 +122,16 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], 
                     red[j] ^= red[i]
         return ([[r >> c & 1 for c in range(ncols)] for r in red],
                 [k.bit_length() - 1 for k in keys])
+    if p in _LANES:
+        # normalise each row to 1 at its pivot: c[g][1] = -1/g
+        red = [_mod_lanes(row * (p - c[1]), ncols, p) for row, c in map(basis.get, keys)]
+        for i in reversed(range(len(red))):
+            shift = 8 * keys[i]
+            for j in range(i):
+                f = red[j] >> shift & 255
+                if f:
+                    red[j] = _mod_lanes(red[j] + (p - f) * red[i], ncols, p)
+        return [list(r.to_bytes(ncols, "little")) for r in red], keys
     red = [[0] * pc + basis[pc] for pc in keys]
     for i in reversed(range(len(red))):
         pc = keys[i]
@@ -86,7 +145,7 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p."""
-    return len(_echelon([_pack(r, p) for r in rows], p))
+    return len(_echelon([_pack(r, p) for r in rows], p, len(rows[0]) if rows else 0))
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
@@ -133,60 +192,92 @@ class FpSpan:
         return len(self.basis)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        # reduce into a copy of the basis, so nothing is inserted
-        return len(_echelon([_pack(vec, self.p)], self.p, dict(self.basis))) == self.dim
+        """True iff vec lies in the span; the span is left as it was."""
+        dim = self.dim
+        _echelon([_pack(vec, self.p)], self.p, self.ncols, self.basis)
+        if self.dim == dim:
+            return True
+        self.basis.popitem()  # the probe, inserted last
+        return False
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; True if it enlarged the span."""
         dim = self.dim
-        _echelon([_pack(vec, self.p)], self.p, self.basis)
+        _echelon([_pack(vec, self.p)], self.p, self.ncols, self.basis)
         return self.dim > dim
 
 
-def span_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int,
-              start: Sequence[int] | None = None):
-    """Yield every F_p-combination of the generator state vectors, each of
-    `width` element codes, added to `start` (default zero), one amortized
-    vector add per step.
+def span_walk(p: int, gen_states: Sequence, start, add: Callable):
+    """Yield `start` plus every F_p-combination of the generator states,
+    one amortized `add` per step.
 
-    States are vectors of element codes added entrywise, starting from
-    `start`.  The order is an odometer over the generator coordinates, the
-    first generator's digit turning fastest.  The yielded list is a reused
-    buffer; consumers must copy what they keep.
+    `add(state, gen)` returns the sum of two states in the caller's format:
+    `vector_add` for lists of element codes, `word_add` for the words of
+    `pack_word`.  The order is an odometer over the generator coordinates,
+    the first generator's digit turning fastest, so `start` comes first.
     """
-    p = tower.p
-    add = tower.add
     k = len(gen_states)
-    cur = [0] * width if start is None else list(start)
+    cur = start
     yield cur
     digits = [0] * k
     for _ in range(p ** k - 1):
         i = 0
         while digits[i] == p - 1:
             digits[i] = 0
-            gs = gen_states[i]
-            for idx in range(width):
-                cur[idx] = add(cur[idx], gs[idx])
+            cur = add(cur, gen_states[i])
             i += 1
         digits[i] += 1
-        gs = gen_states[i]
-        for idx in range(width):
-            cur[idx] = add(cur[idx], gs[idx])
+        cur = add(cur, gen_states[i])
         yield cur
 
 
-def line_walk(tower: FieldTower, gen_states: Sequence[Sequence[int]], width: int):
+def line_walk(p: int, gen_states: Sequence, zero, add: Callable):
     """Yield the zero state, then one state from each F_p^*-line of the span:
     the combinations whose last nonzero generator coefficient is 1.
 
     For F_p-independent generators that is 1 + (p^k - 1)/(p - 1) states, and
     every nonzero combination is c times exactly one of them, c in F_p^*.
     Generator i leads p^i of them: `span_walk` over the first i generators,
-    started from generator i.  The yielded list is a reused buffer.
+    started from generator i.
     """
-    yield [0] * width
+    yield zero
     for i, lead in enumerate(gen_states):
-        yield from span_walk(tower, gen_states[:i], width, start=lead)
+        yield from span_walk(p, gen_states[:i], lead, add)
+
+
+def vector_add(tower: FieldTower) -> Callable:
+    """The entrywise sum of two lists of element codes."""
+    add = tower.add
+    return lambda a, b: list(map(add, a, b))
+
+
+def pack_word(tower: FieldTower, columns: Sequence[int]):
+    """The m columns of a square digit matrix, as element codes, packed as
+    one word for `word_add` and `word_nullity`.  At 3 <= p <= 13 a word is
+    one integer whose byte lanes tm .. tm + m - 1 hold the digits of column
+    t, that is row t of the transpose in the row format; otherwise it is
+    the list of codes."""
+    if tower.p in _LANES:
+        return pack_lanes(tower.digit_vector(columns))
+    return list(columns)
+
+
+def word_add(tower: FieldTower) -> Callable:
+    """The sum of two words of `pack_word`."""
+    if tower.p not in _LANES:
+        return vector_add(tower)
+    size, table = tower.m ** 2, lane_mod_table(tower.p)
+    return lambda a, b: int.from_bytes((a + b).to_bytes(size, "little").translate(table),
+                                       "little")
+
+
+def word_nullity(tower: FieldTower, word) -> int:
+    """`nullity_of_code_columns` of the columns packed in a word of `pack_word`."""
+    p, m = tower.p, tower.m
+    if p not in _LANES:
+        return nullity_of_code_columns(tower, word)
+    mask = (1 << 8 * m) - 1
+    return m - len(_echelon([word >> 8 * m * t & mask for t in range(m)], p, m))
 
 
 def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
@@ -198,8 +289,8 @@ def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
     themselves.
     """
     p = tower.p
-    vecs = columns if p == 2 else [list(tower.digits(c)) for c in columns]
-    return len(columns) - len(_echelon(vecs, p))
+    vecs = columns if p == 2 else [_pack(tower.digits(c), p) for c in columns]
+    return len(columns) - len(_echelon(vecs, p, tower.m))
 
 
 def rank_subfield_matrix(tower: FieldTower, rows: Sequence[Sequence[int]]) -> int:

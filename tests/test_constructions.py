@@ -152,6 +152,16 @@ def test_htilde_dual_closed_form(towers):
     assert hist == (1, 0, 0, 26)  # every nonzero member invertible
 
 
+@pytest.mark.parametrize("q, n", [(3, 5), (5, 5), (3, 7)])
+def test_htilde_dual_closed_form_at_wider_n(q, n):
+    # the paper's closed-form dual is the annihilator that dual_code solves for
+    t = make_tower(q, 1, n)
+    computed = dual_code(build_Htilde(t, 1))
+    closed = build_Htilde_dual(t, 1)
+    assert computed.size == closed.size == q ** n
+    assert all(computed.contains(f) for f in closed.generators)
+
+
 def test_htilde_dual_alpha_validation(towers):
     t = towers[3]
     with pytest.raises(ParameterError):

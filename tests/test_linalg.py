@@ -5,7 +5,7 @@ import pytest
 
 from hermcodes import make_tower
 from hermcodes.linalg import (FpSpan, line_walk, nullity_of_code_columns, nullspace_mod_p,
-                             rank_mod_p, rref_mod_p, solve_mod_p, span_walk)
+                             rank_mod_p, rref_mod_p, solve_mod_p, span_walk, vector_add)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -15,7 +15,7 @@ def test_span_walk_matches_product_enumeration(p, k):
     rng = random.Random(10 * p + k)
     width = 3
     gens = [[rng.randrange(t.order) for _ in range(width)] for _ in range(k)]
-    walked = [tuple(state) for state in span_walk(t, gens, width)]
+    walked = [tuple(state) for state in span_walk(p, gens, [0] * width, vector_add(t))]
     # sum c_i g_i, with c_0 as the fastest-turning coordinate
     expected = []
     for rev in itertools.product(range(p), repeat=k):
@@ -37,10 +37,10 @@ def test_line_walk_yields_one_state_per_line(p, k):
     width = 3
     while True:  # F_p-independent generators: p^k distinct combinations
         gens = [[rng.randrange(t.order) for _ in range(width)] for _ in range(k)]
-        full = {tuple(state) for state in span_walk(t, gens, width)}
+        full = {tuple(state) for state in span_walk(p, gens, [0] * width, vector_add(t))}
         if len(full) == p ** k:
             break
-    walked = [tuple(state) for state in line_walk(t, gens, width)]
+    walked = [tuple(state) for state in line_walk(p, gens, [0] * width, vector_add(t))]
     assert len(walked) == 1 + (p ** k - 1) // (p - 1)
     assert walked[0] == (0,) * width
 
@@ -187,7 +187,12 @@ def _systems(p):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+# p = 2 runs on bit rows, 3 <= p <= 13 on byte lanes (11 and 13 at the top of
+# the lane bound), p = 17 on residue lists
+ROW_FORMAT_PRIMES = [2, 3, 5, 7, 11, 13, 17]
+
+
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
 def test_elimination_matches_column_sweep_oracle(p):
     rng = random.Random(p)
     for rows in _systems(p):
@@ -202,7 +207,7 @@ def test_elimination_matches_column_sweep_oracle(p):
             assert solve_mod_p(rows, rhs, p) == _oracle_solve(rows, rhs, p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
 def test_fp_span_matches_oracle_ranks(p):
     rng = random.Random(20 + p)
     for rows in _systems(p)[4:]:
@@ -223,7 +228,8 @@ def test_fp_span_matches_oracle_ranks(p):
         assert span.dim == len(_oracle_rref(rows, p)[0])
 
 
-@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (5, 1, 3)])
+@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (5, 1, 3),
+                                     (11, 1, 2), (13, 1, 2), (17, 1, 2)])
 def test_nullity_matches_oracle_rank_of_digit_matrix(p, e, n):
     t = make_tower(p, e, n)
     rng = random.Random(10 * p + e)

@@ -17,7 +17,7 @@ from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyEr
                               _character_sum, conjugate_trace, eigenvalues,
                               full_rank_residue, pairwise_inner_distribution)
 from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
-from hermcodes.linalg import nullity_of_code_columns, span_walk
+from hermcodes.linalg import nullity_of_code_columns, span_walk, vector_add, word_nullity
 
 
 # -- character sums ----------------------------------------------------------------
@@ -102,13 +102,14 @@ def _full_walk_tally(code):
     """Rank histogram over every word of the span, one kernel call each."""
     t = code.tower
     hist = [0] * (t.n + 1)
-    for state in span_walk(t, [g.image_columns() for g in code.generators], t.m):
+    for state in span_walk(t.p, [g.image_columns() for g in code.generators], [0] * t.m,
+                           vector_add(t)):
         hist[t.n - nullity_of_code_columns(t, state) // (2 * t.e)] += 1
     return tuple(hist)
 
 
 @pytest.mark.parametrize("p, e, n", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
-                                     (3, 2, 2)])
+                                     (3, 2, 2), (13, 1, 2), (11, 1, 2), (3, 2, 3)])
 def test_line_walk_inner_distribution_matches_full_walk_and_matrix_model(p, e, n):
     # one word per F_p^*-line, weighted p - 1, against the full walk and
     # against the matrix-model rank of every word
@@ -137,11 +138,11 @@ def test_inner_distribution_ranks_one_word_per_line(monkeypatch, params, calls):
     code = build(params)
     count = [0]
 
-    def counting(tower, columns):
+    def counting(tower, word):
         count[0] += 1
-        return nullity_of_code_columns(tower, columns)
+        return word_nullity(tower, word)
 
-    monkeypatch.setattr(scheme, "nullity_of_code_columns", counting)
+    monkeypatch.setattr(scheme, "word_nullity", counting)
     assert sum(inner_distribution(code)) == code.size
     assert count[0] == calls
 
