@@ -16,8 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import constructions, equivalence, scheme
 from .constructions import ConstructionParams, ParameterError
@@ -30,8 +29,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check: str
     params: dict
     verdict: str                  # "pass" | "fail" | "inconclusive"
@@ -292,6 +290,9 @@ def _run_check(name: str, code: HermCode, budget: int) -> Report:
 def cmd_verify(args) -> int:
     code = _load_code(args.code)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        sys.stderr.write(f"--checks names no check; available: {','.join(CHECKS)}\n")
+        return EXIT_USAGE
     for nm in names:
         if nm not in CHECKS:
             sys.stderr.write(f"unknown check {nm!r}; available: {','.join(CHECKS)}\n")

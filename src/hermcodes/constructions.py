@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gf import FieldTower, find_alpha, find_gamma, is_square, make_tower
 from .hermitian import (HermCode, HermMatrix, code_from_matrix_set,
@@ -38,8 +37,7 @@ class ParameterError(ValueError):
     """A construction parameter violates the family's hypotheses."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """CLI-facing parameter record for a single construction instance."""
     family: str                 # "H", "E", "M", "Htilde"
     q: int

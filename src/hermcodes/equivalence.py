@@ -31,8 +31,7 @@ from __future__ import annotations
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .gf import FieldTower, _is_irreducible
 from .hermitian import HermCode, poly_from_vector, poly_vector
@@ -70,8 +69,7 @@ def _scalar_matrix(tower: FieldTower, c: int) -> list[list[int]]:
     return fp_matrix_of_map(tower, [tower.mul(c, b) for b in _digit_basis(tower)])
 
 
-@dataclass
-class EndoSolution:
+class EndoSolution(NamedTuple):
     """Solution space of a kernel or idealiser system over F_p.
 
     `pairs` carries (N1, N2) matrix pairs for kernel systems; `polys`
@@ -85,10 +83,10 @@ class EndoSolution:
     dim: int
     order: int
     structure: str
-    certificate: Optional[tuple] = None
-    pairs: Optional[list] = None
-    polys: Optional[list[LinPoly]] = None
-    meta: dict = field(default_factory=dict)
+    certificate: Optional[tuple]
+    pairs: Optional[list]
+    polys: Optional[list[LinPoly]]
+    meta: dict
 
     @property
     def certified(self) -> bool:
@@ -133,7 +131,7 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
     every power in the span proves "field": the span is then F_p[a] (Lidl
     and Niederreiter, Finite Fields, ch. 2-3).  "unknown" is left if no try
     settles it.  Returns the solution basis, the F_p-span of the flattened
-    blocks and the EndoSolution without pairs, polys or meta.
+    blocks and the EndoSolution with no pairs or polys and an empty meta.
     """
     p = tower.p
     basis = nullspace_mod_p(rows, nvars, p)
@@ -157,7 +155,8 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
             structure, certificate = ("field" if subfield else "non-field"), (coeffs, poly)
             break
     return basis, span, EndoSolution(dim=dim, order=p ** dim, structure=structure,
-                                     certificate=certificate)
+                                     certificate=certificate, pairs=None, polys=None,
+                                     meta={})
 
 
 def kernel_K(code: HermCode) -> EndoSolution:
@@ -189,8 +188,8 @@ def kernel_K(code: HermCode) -> EndoSolution:
     basis, span, sol = _solve_algebra(t, rows, nvars, pair_of)
     contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
                            for beta in t.basis_over_prime(2))
-    return replace(sol, pairs=[pair_of(v) for v in basis],
-                   meta={"contains_q2_scalars": contains_scalars})
+    return sol._replace(pairs=[pair_of(v) for v in basis],
+                        meta={"contains_q2_scalars": contains_scalars})
 
 
 def _idealiser(code: HermCode, side: str) -> EndoSolution:
@@ -211,8 +210,8 @@ def _idealiser(code: HermCode, side: str) -> EndoSolution:
     scalars = t.basis_over_prime(1)
     is_scalar_fq = span.dim == len(scalars) and all(
         span.contains(_flat((_scalar_matrix(t, c),))) for c in scalars)
-    return replace(sol, polys=[poly_from_vector(t, v) for v in basis],
-                   meta={"is_scalar_fq": is_scalar_fq, "side": side})
+    return sol._replace(polys=[poly_from_vector(t, v) for v in basis],
+                        meta={"is_scalar_fq": is_scalar_fq, "side": side})
 
 
 def left_idealiser(code: HermCode) -> EndoSolution:
@@ -269,8 +268,7 @@ def check_independent_support(code: HermCode, b_set: Iterable[int],
 # -- fingerprints ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Exact invariants of a code under both equivalence notions, plus the
     (informational, non-certifying) universal support size."""
     label: str
@@ -310,8 +308,7 @@ def invariant_fingerprint(code: HermCode, budget: int = DEFAULT_BUDGET) -> Finge
     )
 
 
-@dataclass(frozen=True)
-class FingerprintComparison:
+class FingerprintComparison(NamedTuple):
     verdict: str                      # "distinct" or "inconclusive"
     differing_fields: tuple[str, ...]
 

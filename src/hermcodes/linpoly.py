@@ -12,8 +12,7 @@ the q^2 level and mod 2n at the q level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .gf import FieldTower
 from .linalg import nullity_of_code_columns
@@ -225,8 +224,7 @@ def reindex_to_qpoly(f: LinPoly, s: int, shift: int = 0) -> QPoly:
     return QPoly(t, out)
 
 
-@dataclass(frozen=True)
-class GQReport:
+class GQReport(NamedTuple):
     """Outcome of the kernel bound check on a stride-s window polynomial."""
     s: int
     k: int

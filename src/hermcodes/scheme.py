@@ -34,9 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
@@ -84,30 +82,10 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def pairwise_inner_distribution(matrices: Sequence[HermMatrix],
-                                budget: int = DEFAULT_BUDGET) -> tuple[Fraction, ...]:
-    """A_i = |(C x C) on rank-i differences| / |C| for an arbitrary matrix set."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("empty set")
-    if len(mats) ** 2 > budget:
-        raise BudgetExceededError(f"{len(mats)}^2 pairs exceed budget {budget}")
-    t = mats[0].tower
-    n = t.n
-    counts = [0] * (n + 1)
-    for a in mats:
-        for b in mats:
-            rows = [[t.sub(x, y) for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a.rows, b.rows)]
-            counts[rank_subfield_matrix(t, rows)] += 1
-    return tuple(Fraction(c, len(mats)) for c in counts)
-
-
 # -- eigenvalues by exact character sums -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Eigenvalues:
+class Eigenvalues(NamedTuple):
     """Exact integer table Q[k][i] for the rank scheme on Hermitian matrices."""
     q: int
     n: int
@@ -344,12 +322,13 @@ def neg_q_binom(m: int, l: int, q: int) -> int:
         raise ValueError("arguments must be non-negative")
     if l > m:
         return 0
-    val = Fraction(1)
+    num = den = 1
     for i in range(1, l + 1):
-        val *= Fraction((-q) ** (m - i + 1) - 1, (-q) ** i - 1)
-    if val.denominator != 1:
+        num *= (-q) ** (m - i + 1) - 1
+        den *= (-q) ** i - 1
+    if num % den:
         raise AssertionError(f"negative q-binomial ({m},{l}) at q={q} not integral")
-    return int(val)
+    return num // den
 
 
 @functools.cache
@@ -389,20 +368,25 @@ def theorem_distribution(n: int, d: int, q: int, size: int) -> tuple[int, ...]:
 
       A_{n-i} = sum_{j=i}^{n-d} (-1)^{j-i} (-q)^{C(j-i,2)} [j i][n j]
                  (size/q^{nj} * (-1)^{(n+1)j} - 1)
+
+    Each sum is taken times scale = q^{n(n-d)}, which every q^{nj} divides,
+    and must then divide exactly by scale.
     """
+    top = n - d
+    scale = q ** (n * max(top, 0))
     out = [0] * (n + 1)
     out[0] = 1
     for i in range(n):
-        acc = Fraction(0)
-        for j in range(i, n - d + 1):
+        acc = 0
+        for j in range(i, top + 1):
             sign = (-1) ** (j - i)
             binoms = neg_q_binom(j, i, q) * neg_q_binom(n, j, q)
             power = (-q) ** ((j - i) * (j - i - 1) // 2)
-            inner = Fraction(size, q ** (n * j)) * ((-1) ** ((n + 1) * j)) - 1
+            inner = size * q ** (n * (top - j)) * (-1) ** ((n + 1) * j) - scale
             acc += sign * power * binoms * inner
-        if acc.denominator != 1:
+        if acc % scale:
             raise AssertionError("closed-form distribution not integral")
-        out[n - i] = int(acc)
+        out[n - i] = acc // scale
     return tuple(out)
 
 
@@ -435,14 +419,13 @@ def delta_identity_holds(k: int, i: int, q: int) -> bool:
 # -- design characterization by extension counting ---------------------------------
 
 
-@dataclass
-class ExtensionCountReport:
+class ExtensionCountReport(NamedTuple):
     """Counts of codewords whose Gram form restricts to H on each t-subspace."""
     t: int
     uniform: bool
     common_count: Optional[int]
     counts: dict
-    witnesses: list = field(default_factory=list)
+    witnesses: list
 
 
 def _subspace_representatives(tower: FieldTower, t: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermcodes
-from hermcodes import ConstructionParams, build, gf, scheme
+from hermcodes import ConstructionParams, build, equivalence, gf, scheme
 from hermcodes.cli import CHECKS, _run_check, build_parser, main
 from hermcodes.hermitian import code_to_dict
 from hermcodes.scheme import DEFAULT_BUDGET
@@ -164,6 +164,15 @@ def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
                      "--d", "3", "--s", "1")
     rc = main(["verify", "--code", path, "--checks", "nope"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_verify_with_no_checks_is_usage_error(tmp_path, capsys, checks):
+    # zero reports would read "all_pass": true, a pass that checked nothing
+    path = construct(tmp_path, capsys, "E", "--q", "2", "--n", "3",
+                     "--d", "3", "--s", "1")
+    _assert_usage_error(main(["verify", "--code", path, "--checks", checks]),
+                        capsys, "--checks names no check")
 
 
 def test_verify_failure_carries_witness(tmp_path, capsys):
@@ -551,6 +560,33 @@ def test_cli_import_starts_no_process_machinery():
                          "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_neither_dataclasses_nor_fractions():
+    # each CLI call is its own process, so these modules' import cost is paid
+    # per call; diffing against the interpreter's own start-up keeps a host
+    # .pth file that loads them from failing the test
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    proc = _fresh_python("-c", "import sys; before = set(sys.modules); "
+                         f"sys.path.insert(0, {str(scripts)!r}); "
+                         "import hermcodes, hermcodes.cli, reproduce_report; "
+                         "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+                         " & (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_records_keep_their_repr_and_own_their_meta():
+    assert repr(ConstructionParams(family="H", q=2, n=3, d=2, s=1)) == (
+        "ConstructionParams(family='H', q=2, n=3, d=2, s=1, gamma_power=None)")
+    assert repr(scheme.closed_form_eigenvalues(2, 2)) == (
+        "Eigenvalues(q=2, n=2, table=((1, 1, 1), (5, -3, 1), (10, 2, -2)), "
+        "rank_counts=(1, 5, 10))")
+    code = build(ConstructionParams(family="H", q=2, n=3, d=2, s=1))
+    left, right = equivalence.left_idealiser(code), equivalence.right_idealiser(code)
+    assert left.meta is not right.meta
+    # a default would be one dict shared by every solution built without meta
+    assert "meta" not in equivalence.EndoSolution._field_defaults
 
 
 # -- fuzzing the command line ----------------------------------------------------

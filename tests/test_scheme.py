@@ -15,9 +15,10 @@ from hermcodes.cli import _run_check
 from hermcodes.constructions import tower_for
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyError,
                               _character_sum, conjugate_trace, eigenvalues,
-                              full_rank_residue, pairwise_inner_distribution)
+                              full_rank_residue, max_code_size)
 from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
-from hermcodes.linalg import nullity_of_code_columns, span_walk, vector_add, word_nullity
+from hermcodes.linalg import (nullity_of_code_columns, rank_subfield_matrix, span_walk,
+                              vector_add, word_nullity)
 
 
 # -- character sums ----------------------------------------------------------------
@@ -55,6 +56,47 @@ def test_neg_q_binom_values():
 @given(m=st.integers(0, 12), l=st.integers(0, 12), q=st.integers(2, 7))
 def test_neg_q_binom_integrality(m, l, q):
     assert isinstance(neg_q_binom(m, l, q), int)
+
+
+def _fraction_neg_q_binom(m, l, q):
+    val = Fraction(1)
+    for i in range(1, l + 1):
+        val *= Fraction((-q) ** (m - i + 1) - 1, (-q) ** i - 1)
+    return val
+
+
+def _fraction_theorem_distribution(n, d, q, size):
+    """The closed form summed in rationals; None where a sum is not integral."""
+    out = [1] + [0] * n
+    for i in range(n):
+        acc = Fraction(0)
+        for j in range(i, n - d + 1):
+            inner = Fraction(size, q ** (n * j)) * (-1) ** ((n + 1) * j) - 1
+            acc += ((-1) ** (j - i) * (-q) ** ((j - i) * (j - i - 1) // 2)
+                    * _fraction_neg_q_binom(j, i, q) * _fraction_neg_q_binom(n, j, q) * inner)
+        if acc.denominator != 1:
+            return None
+        out[n - i] = int(acc)
+    return tuple(out)
+
+
+def test_integer_closed_forms_match_rational_reference():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(9):
+            for l in range(m + 1):
+                assert neg_q_binom(m, l, q) == _fraction_neg_q_binom(m, l, q), (m, l, q)
+        for n in range(1, 8):
+            for d in range(n + 2):
+                full = max_code_size(q, n, d)
+                for size in (full, full - 1, q ** n):
+                    expected = _fraction_theorem_distribution(n, d, q, size)
+                    if expected is None:
+                        with pytest.raises(AssertionError):
+                            theorem_distribution(n, d, q, size)
+                    else:
+                        assert theorem_distribution(n, d, q, size) == expected, (n, d, q, size)
+    with pytest.raises(AssertionError):
+        theorem_distribution(3, 2, 2, 63)
 
 
 def test_delta_identity():
@@ -153,6 +195,19 @@ def test_inner_distribution_full_space(tower_q2):
     from hermcodes import matrix_code_rank_distribution
     assert hist == matrix_code_rank_distribution(mats)
     assert hist == (1, 21, 210, 280)
+
+
+def pairwise_inner_distribution(mats):
+    """A_i = |(C x C) on rank-i differences| / |C| for an arbitrary matrix set:
+    the definition, with no additivity assumed."""
+    t = mats[0].tower
+    counts = [0] * (t.n + 1)
+    for a in mats:
+        for b in mats:
+            rows = [[t.sub(x, y) for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a.rows, b.rows)]
+            counts[rank_subfield_matrix(t, rows)] += 1
+    return tuple(Fraction(c, len(mats)) for c in counts)
 
 
 def test_pairwise_distribution_matches_histogram_for_additive_sets(tower_q2):
