@@ -62,6 +62,8 @@ class ConstructionParams(NamedTuple):
             raise ParameterError("family M takes no s")
         if self.d not in (None, 2) and self.family in ("M", "Htilde"):
             raise ParameterError(f"family {self.family} is a 2-code: d must be 2, not {self.d}")
+        if self.family == "M" and self.n < 2:
+            raise ParameterError(f"family M is a 2-code: n must be at least 2, not {self.n}")
 
 
 def _prime_power(q: int) -> tuple[int, int]:

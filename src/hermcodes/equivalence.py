@@ -10,7 +10,9 @@ N1 acts on the domain copy and N2 on the codomain copy.
 
 Idealisers are solved in the polynomial model: left means Z with Z o f in
 the code for every codeword f, right means f o Z.  Both are F_p-linear
-membership systems over the code span.
+membership systems over the code span, in the coordinates modulo the span.
+Every system is built as its columns, one per unknown, in `linalg`'s row
+format and solved from them (`linalg.nullspace_of_columns`).
 
 The kernel and both idealisers are F_p-algebras cut out by a linear system,
 and one routine solves all three: a solution acts as a tuple of F_p
@@ -30,12 +32,12 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldTower, _is_irreducible
 from .hermitian import HermCode, poly_from_vector, poly_vector
-from .linalg import FpSpan, nullspace_mod_p
+from .linalg import (FpSpan, _pack, _shift, nullspace_mod_p, nullspace_of_columns,
+                     residues_mod_span)
 from .linpoly import LinPoly
 from .scheme import DEFAULT_BUDGET, distributions, dual_strength
 
@@ -121,20 +123,20 @@ def _minimal_polynomial(a: tuple, p: int, span: FpSpan) -> tuple[tuple[int, ...]
     return tuple(relation), all(map(span.contains, powers[:-1]))
 
 
-def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
-                   blocks_of: Callable[[list[int]], tuple]) -> tuple[list, FpSpan, EndoSolution]:
-    """The F_p-algebra of the solutions v of `rows . v = 0`, where v acts as
-    blocks_of(v), a tuple of m x m F_p matrices multiplied blockwise and
-    linear in v.  Seeded nonzero elements a are tried.  A power of a outside
-    the span proves the span is not closed, so "non-field"; so does a
-    reducible minimal polynomial.  An irreducible one of degree dim with
-    every power in the span proves "field": the span is then F_p[a] (Lidl
-    and Niederreiter, Finite Fields, ch. 2-3).  "unknown" is left if no try
-    settles it.  Returns the solution basis, the F_p-span of the flattened
-    blocks and the EndoSolution with no pairs or polys and an empty meta.
+def _solve_algebra(tower: FieldTower, basis: list[list[int]],
+                   blocks_of: Callable[[list[int]], tuple]) -> tuple[FpSpan, EndoSolution]:
+    """The F_p-algebra spanned by the solution basis of a kernel or
+    idealiser system, where a solution v acts as blocks_of(v), a tuple of
+    m x m F_p matrices multiplied blockwise and linear in v.  Seeded
+    nonzero elements a are tried.  A power of a outside the span proves the
+    span is not closed, so "non-field"; so does a reducible minimal
+    polynomial.  An irreducible one of degree dim with every power in the
+    span proves "field": the span is then F_p[a] (Lidl and Niederreiter,
+    Finite Fields, ch. 2-3).  "unknown" is left if no try settles it.
+    Returns the F_p-span of the flattened blocks and the EndoSolution with
+    no pairs or polys and an empty meta.
     """
     p = tower.p
-    basis = nullspace_mod_p(rows, nvars, p)
     # the F_p scalars always solve, so the basis is never empty
     blocks = [blocks_of(v) for v in basis]
     span = FpSpan(len(_flat(blocks[0])), p)
@@ -154,9 +156,8 @@ def _solve_algebra(tower: FieldTower, rows: list[list[int]], nvars: int,
         if not subfield or len(poly) - 1 == dim:
             structure, certificate = ("field" if subfield else "non-field"), (coeffs, poly)
             break
-    return basis, span, EndoSolution(dim=dim, order=p ** dim, structure=structure,
-                                     certificate=certificate, pairs=None, polys=None,
-                                     meta={})
+    return span, EndoSolution(dim=dim, order=p ** dim, structure=structure,
+                              certificate=certificate, pairs=None, polys=None, meta={})
 
 
 def kernel_K(code: HermCode) -> EndoSolution:
@@ -167,25 +168,26 @@ def kernel_K(code: HermCode) -> EndoSolution:
     F_{q^2}.
     """
     t = code.tower
-    m = t.m
-    p = t.p
-    nvars = 2 * m * m  # N1 first, then N2
-    rows = []
-    for x in (fp_matrix_of_poly(g) for g in code.generators):
-        for i in range(m):
-            for j in range(m):
-                row = [0] * nvars
-                # (N2 X)_{ij} - (X N1)_{ij} = 0
-                for k in range(m):
-                    row[m * m + i * m + k] = (row[m * m + i * m + k] + x[k][j]) % p
-                    row[k * m + j] = (row[k * m + j] - x[i][k]) % p
-                rows.append(row)
+    m, p = t.m, t.p
+    size = m * m
+    mats = [fp_matrix_of_poly(g) for g in code.generators]
+    height = len(mats) * size
+    # The system is solved from its 2 m^2 columns, N1 first, then N2.  Entry
+    # g m^2 + i m + j of a column is its coefficient in (N2 X_g - X_g N1)_ij
+    # = 0: N2[i][k] has row k of every X_g in row i of its block, and
+    # N1[k][j] has column k of every X_g, negated, in column j.
+    rows = [_pack([x for mat in mats for x in mat[k] + [0] * (size - m)], p) for k in range(m)]
+    negated = [_pack([x for mat in mats for row in mat for x in [-row[k]] + [0] * (m - 1)], p)
+               for k in range(m)]
+    cols = [_shift(negated[k], j, p) for k in range(m) for j in range(m)]
+    cols += [_shift(rows[k], i * m, p) for i in range(m) for k in range(m)]
+    basis = nullspace_of_columns(cols, height, p)
 
     def pair_of(v: list[int]) -> tuple:
         return ([v[r * m:(r + 1) * m] for r in range(m)],
                 [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)])
 
-    basis, span, sol = _solve_algebra(t, rows, nvars, pair_of)
+    span, sol = _solve_algebra(t, basis, pair_of)
     contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
                            for beta in t.basis_over_prime(2))
     return sol._replace(pairs=[pair_of(v) for v in basis],
@@ -194,19 +196,20 @@ def kernel_K(code: HermCode) -> EndoSolution:
 
 def _idealiser(code: HermCode, side: str) -> EndoSolution:
     t = code.tower
-    p = t.p
+    p, k = t.p, len(code.generators)
     width = t.n * t.m
-    # Z is solved in the coordinates of poly_vector.  Z o g (left) or g o Z
-    # (right) lies in the code span iff every w in the nullspace of the
-    # generator matrix is orthogonal to it.
-    checks = nullspace_mod_p([poly_vector(g) for g in code.generators], width, p)
-    units = [poly_from_vector(t, [int(i == j) for i in range(width)]) for j in range(width)]
-    rows = []
-    for g in code.generators:
-        images = [poly_vector(u.compose(g) if side == "left" else g.compose(u)) for u in units]
-        rows += [[sum(map(operator.mul, w, img)) % p for img in images] for w in checks]
-    basis, span, sol = _solve_algebra(
-        t, rows, width, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
+    # Z is solved in the coordinates of poly_vector: Z o g (left) or g o Z
+    # (right) lies in the code span iff its coordinates modulo the span are
+    # zero.  Column j of the system holds those of u_j o g or g o u_j for
+    # every generator g, u_j the unit polynomial of coordinate j.
+    units = [LinPoly(t, [b if i == c else 0 for c in range(t.n)])
+             for i in range(t.n) for b in _digit_basis(t)]
+    coords = residues_mod_span([poly_vector(g) for g in code.generators],
+                               [poly_vector(u.compose(g) if side == "left" else g.compose(u))
+                                for u in units for g in code.generators], width, p)
+    cols = [_pack([x for c in coords[j * k:(j + 1) * k] for x in c], p) for j in range(width)]
+    basis = nullspace_of_columns(cols, sum(map(len, coords[:k])), p)
+    span, sol = _solve_algebra(t, basis, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
     scalars = t.basis_over_prime(1)
     is_scalar_fq = span.dim == len(scalars) and all(
         span.contains(_flat((_scalar_matrix(t, c),))) for c in scalars)
@@ -234,35 +237,6 @@ def universal_support(code: HermCode) -> frozenset[int]:
     for g in code.generators:
         out |= g.support()
     return frozenset(out)
-
-
-def a_pow_b(a: Iterable[int], b: Iterable[int], n: int) -> frozenset[int]:
-    """Residues mod n expressible as i + j with (i, j) in A x B in exactly one way."""
-    counts = Counter((i + j) % n for i in a for j in b)
-    return frozenset(k for k, c in counts.items() if c == 1)
-
-
-def support_containment(a: Iterable[int], b: Iterable[int],
-                        support: Iterable[int], n: int) -> bool:
-    """The falsifiable predicate A^B subset-of S used in non-equivalence
-    arguments; False refutes the corresponding extended equivalence."""
-    return a_pow_b(a, b, n) <= frozenset(i % n for i in support)
-
-
-def check_independent_support(code: HermCode, b_set: Iterable[int],
-                              witness: Mapping[int, Callable[[int], int]],
-                              domain: Sequence[int]) -> bool:
-    """Verify a witnessed independent support: every h_i must be injective on
-    the declared domain and every witnessed polynomial must lie in the code.
-    """
-    b_set = frozenset(b_set)
-    if frozenset(witness) != b_set:
-        raise ValueError("witness indices do not match the declared support set")
-    t = code.tower
-    if any(len({h(a) for a in domain}) != len(domain) for h in witness.values()):
-        return False
-    return all(code.contains(LinPoly.from_map(t, {i: h(a) for i, h in witness.items()}))
-               for a in domain)
 
 
 # -- fingerprints ------------------------------------------------------------------

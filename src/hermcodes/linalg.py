@@ -14,7 +14,11 @@ row format is picked from p:
 * p >= 17: a row is a list of residues.
 
 Reduced forms are built from that basis and are unique, so identical inputs
-give identical outputs, in every format.
+give identical outputs, in every format.  A null space is solved from the
+short side of its matrix: a wide one from its rows, back-substituted, and a
+tall one from its columns, each tagged with an identity entry, so that a
+column reducing to zero is a basis vector as it stands
+(`nullspace_of_columns`).
 
 `span_walk` is the one odometer over F_p-combinations of generator states,
 in any format with an `add`: lists of element codes (`vector_add`) or the
@@ -46,7 +50,8 @@ def _clearing(p: int) -> list:
     return [[(-f * pow(g, p - 2, p)) % p for f in range(p)] for g in range(p)]
 
 
-def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None) -> dict:
+def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None,
+             null: list | None = None, height: int | None = None) -> dict:
     """Stream rows of `width` entries into an echelon basis over F_p;
     returns the basis, extended in place when one is given.
 
@@ -58,15 +63,23 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None) -> d
     so it is never normalised.  For residue lists, which are consumed, it
     maps pc to row[pc:] of a row that is 1 at pc, zero left of it and zero
     at the pivots of the rows before it (insertion order).
+
+    Given a list `null`, entries from `height` on are never pivots: a row
+    whose first `height` entries reduce to zero is appended to it as it is.
     """
     if basis is None:
         basis = {}
+    if height is None:
+        height = width
     if p == 2:
         for v in vecs:
             while v:
                 low = v & -v
                 if low in basis:
                     v ^= basis[low]
+                elif low >> height:
+                    null.append(v)
+                    break
                 else:
                     basis[low] = v
                     break
@@ -78,7 +91,10 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None) -> d
                 shift = (v & -v).bit_length() - 1 & -8  # 8 * the lowest nonzero lane
                 entry = basis.get(shift >> 3)
                 if entry is None:
-                    basis[shift >> 3] = (v, clearing[v >> shift & 255])
+                    if shift >> 3 >= height:
+                        null.append(v)
+                    else:
+                        basis[shift >> 3] = (v, clearing[v >> shift & 255])
                     break
                 row, c = entry
                 v = int.from_bytes((v + c[v >> shift & 255] * row)
@@ -91,8 +107,11 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None) -> d
                 v[pc:] = [(a - f * b) % p for a, b in zip(v[pc:], row)]
         for pc, f in enumerate(v):
             if f:
-                inv = pow(f, p - 2, p)
-                basis[pc] = [(a * inv) % p for a in v[pc:]]
+                if pc >= height:
+                    null.append(v)
+                else:
+                    inv = pow(f, p - 2, p)
+                    basis[pc] = [(a * inv) % p for a in v[pc:]]
                 break
     return basis
 
@@ -149,17 +168,68 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
+    """Basis of {v : M v = 0}: for each free column fc of the matrix with the
+    given rows, ascending, the solution that is 1 at fc and 0 at the other
+    free columns.  A tall matrix is solved from its columns, any other from
+    its rows."""
+    if len(rows) > ncols:
+        return nullspace_of_columns([_pack(col, p) for col in zip(*rows)], len(rows), p)
     red, pivots = rref_mod_p(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
+    for fc in (c for c in range(ncols) if c not in pivots):
+        basis.append([int(c == fc) for c in range(ncols)])
         for r, pc in zip(red, pivots):
-            v[pc] = (-r[fc]) % p
-        basis.append(v)
+            basis[-1][pc] = -r[fc] % p
     return basis
+
+
+def nullspace_of_columns(cols: Sequence, height: int, p: int) -> list[list[int]]:
+    """`nullspace_mod_p` of the matrix whose columns are the given rows of
+    `height` entries in `_echelon`'s format.  Column j, tagged with a 1 at
+    entry height + j, reduces to zero above its tags iff j is a free
+    column, and its tags are then that basis vector: 1 at j and 0 at every
+    other free column, since only pivot columns join the basis."""
+    n = len(cols)
+    if p == 2:
+        tagged = (c | 1 << height + j for j, c in enumerate(cols))
+    elif p in _LANES:
+        tagged = (c | 1 << 8 * (height + j) for j, c in enumerate(cols))
+    else:
+        tagged = (list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(cols))
+    null: list = []
+    _echelon(tagged, p, height + n, null=null, height=height)
+    return [_unpack(v, height, n, p) for v in null]
+
+
+def residues_mod_span(rows: Sequence[Sequence[int]], vecs: Iterable[Sequence[int]],
+                      ncols: int, p: int) -> list[list[int]]:
+    """The coordinates of each vector modulo the row space, an F_p-linear map
+    whose kernel is the row space: its entries at the free columns once the
+    rows clear its pivot columns.  Pivot columns go first, so `_echelon`
+    clears them first, and a 1 appended to each vector keeps it nonzero."""
+    _, pivots = rref_mod_p(rows, p)
+    order = pivots + [c for c in range(ncols) if c not in pivots]
+    basis = _echelon([_pack([r[c] for c in order] + [0], p) for r in rows], p, ncols + 1)
+    null: list = []
+    _echelon((_pack([v[c] for c in order] + [1], p) for v in vecs), p, ncols + 1, basis,
+             null, len(pivots))
+    return [_unpack(v, len(pivots), ncols - len(pivots), p) for v in null]
+
+
+def _unpack(row, start: int, n: int, p: int) -> list[int]:
+    """Entries start .. start + n - 1 of a row of `_echelon`'s format."""
+    if p == 2:
+        return [row >> start + j & 1 for j in range(n)]
+    if p in _LANES:
+        return list((row >> 8 * start & (1 << 8 * n) - 1).to_bytes(n, "little"))
+    return row[start:start + n]
+
+
+def _shift(row, s: int, p: int):
+    """A row of `_echelon`'s format moved s entries up; its top s entries must be zero."""
+    if p == 2:
+        return row << s
+    return row << 8 * s if p in _LANES else ([0] * s + row)[:len(row)]
 
 
 def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:

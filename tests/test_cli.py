@@ -58,6 +58,7 @@ def test_construct_matrix_model_file(tmp_path, capsys):
     (["M", "--q", "2", "--n", "3", "--gamma", "1"], "takes no gamma"),
     (["H", "--q", "2", "--n", "3", "--d", "2", "--s", "1", "--gamma", "1"], "takes no gamma"),
     (["E", "--q", "2", "--n", "3", "--d", "3", "--s", "1", "--gamma", "1"], "takes no gamma"),
+    (["M", "--q", "2", "--n", "1"], "n must be at least 2, not 1"),
 ])
 def test_construct_refuses_a_parameter_the_family_does_not_take(capsys, argv, needle):
     _assert_usage_error(main(["construct", "--family", *argv]), capsys, needle)

@@ -1,22 +1,23 @@
 import itertools
+import operator
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcodes import (HermCode, LinPoly, a_pow_b, build_E, build_H,
-                       build_Htilde, build_M, check_independent_support,
-                       compare_fingerprints, full_space, hermitian_basis,
+from hermcodes import (HermCode, LinPoly, build_E, build_H, build_Htilde,
+                       build_M, compare_fingerprints, full_space, hermitian_basis,
                        invariant_fingerprint, kernel_K, left_idealiser,
                        make_tower, poly_from_gram, right_idealiser,
-                       support_containment, universal_support)
-from hermcodes import build, equivalence
+                       universal_support)
+from hermcodes import ConstructionParams, build, equivalence, linalg
 from hermcodes.cli import _run_check
-from hermcodes.hermitian import HermMatrix
-from hermcodes.equivalence import _solve_algebra, fp_matrix_of_poly
-from hermcodes.linalg import rank_mod_p
+from hermcodes.hermitian import HermMatrix, poly_from_vector, poly_vector
+from hermcodes.equivalence import _flat, _scalar_matrix, _solve_algebra, fp_matrix_of_poly
+from hermcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
 from hermcodes.scheme import DEFAULT_BUDGET
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -154,7 +155,7 @@ def test_solver_refuses_a_span_not_closed_under_products():
     # call reaches this verdict.
     t = make_tower(2, 1, 1)
     rows = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]]
-    _, _, sol = _solve_algebra(t, rows, 4, lambda v: ([v[0:2], v[2:4]],))
+    _, sol = _solve_algebra(t, nullspace_mod_p(rows, 4, 2), lambda v: ([v[0:2], v[2:4]],))
     assert (sol.order, sol.structure, sol.certified) == (2, "non-field", True)
 
 
@@ -163,7 +164,7 @@ def test_a_power_outside_the_span_is_a_non_field_certificate():
     # irreducible, but A^0 = I is not in the span, so it is not closed
     t = make_tower(2, 1, 1)
     rows = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]]
-    _, _, sol = _solve_algebra(t, rows, 4, lambda v: ([v[0:2], v[2:4]],))
+    _, sol = _solve_algebra(t, nullspace_mod_p(rows, 4, 2), lambda v: ([v[0:2], v[2:4]],))
     assert (sol.order, sol.structure, sol.certificate) == (2, "non-field", ([1], (1, 1, 1)))
 
 
@@ -335,6 +336,98 @@ def test_zero_code_idealisers_are_not_fields(tower_q3):
         assert sol.certified
 
 
+# -- the systems as equation rows, an oracle for the column builds ---------------
+
+
+def _row_nullspace(rows, ncols, p):
+    """The reduced nullspace basis from the RREF of the rows, at any shape."""
+    red, pivots = rref_mod_p(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [int(c == fc) for c in range(ncols)]
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[fc] % p
+        basis.append(v)
+    return basis
+
+
+def _kernel_by_rows(code):
+    """kernel_K from one list row per equation (N2 X - X N1)_ij = 0."""
+    t = code.tower
+    m, p = t.m, t.p
+    nvars = 2 * m * m  # N1 first, then N2
+    rows = []
+    for x in (fp_matrix_of_poly(g) for g in code.generators):
+        for i in range(m):
+            for j in range(m):
+                row = [0] * nvars
+                for k in range(m):
+                    row[m * m + i * m + k] = (row[m * m + i * m + k] + x[k][j]) % p
+                    row[k * m + j] = (row[k * m + j] - x[i][k]) % p
+                rows.append(row)
+
+    def pair_of(v):
+        return ([v[r * m:(r + 1) * m] for r in range(m)],
+                [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)])
+
+    basis = _row_nullspace(rows, nvars, p)
+    span, sol = _solve_algebra(t, basis, pair_of)
+    contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
+                           for beta in t.basis_over_prime(2))
+    return sol._replace(pairs=[pair_of(v) for v in basis],
+                        meta={"contains_q2_scalars": contains_scalars})
+
+
+def _idealiser_by_rows(code, side):
+    """An idealiser from one list row per (generator, check vector): the dot
+    products of the check vector with the images of the unit polynomials."""
+    t = code.tower
+    p = t.p
+    width = t.n * t.m
+    checks = _row_nullspace([poly_vector(g) for g in code.generators], width, p)
+    units = [poly_from_vector(t, [int(i == j) for i in range(width)]) for j in range(width)]
+    rows = []
+    for g in code.generators:
+        images = [poly_vector(u.compose(g) if side == "left" else g.compose(u)) for u in units]
+        rows += [[sum(map(operator.mul, w, img)) % p for img in images] for w in checks]
+    basis = _row_nullspace(rows, width, p)
+    span, sol = _solve_algebra(t, basis, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
+    scalars = t.basis_over_prime(1)
+    is_scalar_fq = span.dim == len(scalars) and all(
+        span.contains(_flat((_scalar_matrix(t, c),))) for c in scalars)
+    return sol._replace(polys=[poly_from_vector(t, v) for v in basis],
+                        meta={"is_scalar_fq": is_scalar_fq, "side": side})
+
+
+@pytest.mark.parametrize("params", reproduce_report.INSTANCES + [
+    ConstructionParams(family="H", q=4, n=3, d=2, s=1),
+    ConstructionParams(family="Htilde", q=3, n=5, s=1),
+    ConstructionParams(family="H", q=17, n=3, d=2, s=1),    # residue-list rows
+], ids=lambda params: f"{params.family}-q{params.q}-n{params.n}")
+def test_column_systems_match_the_row_systems(params):
+    # pairs, polys, certificate and meta: the whole solution, field by field
+    code = build(params)
+    assert kernel_K(code) == _kernel_by_rows(code)
+    assert left_idealiser(code) == _idealiser_by_rows(code, "left")
+    assert right_idealiser(code) == _idealiser_by_rows(code, "right")
+
+
+def test_kernel_system_streams_its_columns(monkeypatch, tower_q3):
+    # H(3,2,1) at q = 3 has 6 generators, so 6 m^2 = 216 equations in
+    # 2 m^2 = 72 unknowns: the system streams its 72 columns, not its rows
+    streamed = []
+    echelon = linalg._echelon
+
+    def counting(vecs, *args, **kwargs):
+        vecs = list(vecs)
+        streamed.append(len(vecs))
+        return echelon(vecs, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    kernel_K(build_H(tower_q3, 2, 1))
+    assert max(streamed) == 2 * tower_q3.m ** 2 == 72
+
+
 # -- supports --------------------------------------------------------------------
 
 
@@ -343,6 +436,36 @@ def test_universal_supports(tower_q3):
     assert universal_support(build_H(tower_q3, 2, 1)) == frozenset({0, 1})
     assert universal_support(build_Htilde(tower_q3, 1)) == frozenset({0, 1, 2})
     assert universal_support(full_space(tower_q3)) == frozenset({0, 1, 2})
+
+
+# The support predicates of non-equivalence arguments; no check or report
+# reaches them, so they live here beside their tests.
+
+
+def a_pow_b(a, b, n):
+    """Residues mod n expressible as i + j with (i, j) in A x B in exactly one way."""
+    counts = Counter((i + j) % n for i in a for j in b)
+    return frozenset(k for k, c in counts.items() if c == 1)
+
+
+def support_containment(a, b, support, n):
+    """The falsifiable predicate A^B subset-of S used in non-equivalence
+    arguments; False refutes the corresponding extended equivalence."""
+    return a_pow_b(a, b, n) <= frozenset(i % n for i in support)
+
+
+def check_independent_support(code, b_set, witness, domain):
+    """Verify a witnessed independent support: every h_i must be injective on
+    the declared domain and every witnessed polynomial must lie in the code.
+    """
+    b_set = frozenset(b_set)
+    if frozenset(witness) != b_set:
+        raise ValueError("witness indices do not match the declared support set")
+    t = code.tower
+    if any(len({h(a) for a in domain}) != len(domain) for h in witness.values()):
+        return False
+    return all(code.contains(LinPoly.from_map(t, {i: h(a) for i, h in witness.items()}))
+               for a in domain)
 
 
 def test_a_pow_b_examples():

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (FpSpan, line_walk, nullity_of_code_columns, nullspace_mod_p,
-                             rank_mod_p, rref_mod_p, solve_mod_p, span_walk, vector_add)
+from hermcodes.linalg import (FpSpan, _pack, line_walk, nullity_of_code_columns,
+                             nullspace_mod_p, nullspace_of_columns, rank_mod_p, rref_mod_p,
+                             residues_mod_span, solve_mod_p, span_walk, vector_add)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -205,6 +206,61 @@ def test_elimination_matches_column_sweep_oracle(p):
         consistent = [sum(a * v for a, v in zip(row, x)) for row in rows]
         for rhs in (consistent, [rng.randrange(-p, 2 * p) for _ in rows]):
             assert solve_mod_p(rows, rhs, p) == _oracle_solve(rows, rhs, p)
+
+
+def _shaped_systems(p):
+    """Systems of every shape the shape-routed nullspace meets, as (rows, ncols)."""
+    rng = random.Random(300 + p)
+    out = [(rows, len(rows[0]) if rows else 4) for rows in _systems(p)]
+    out.append((_seeded_system(rng, p, 30, 12, 12), 12))                 # full column rank
+    out.append(([[rng.randrange(-p, 2 * p)] for _ in range(5)], 1))      # one column
+    out.append(([[0]] * 3, 1))
+    out.append(([[0] * 8] * 20, 8))                                       # all zero, tall
+    out += [(_seeded_system(rng, p, nr, nc, rng.randint(0, min(nr, nc))), nc)
+            for nr, nc in ((12, 12), (30, 7), (7, 30), (64, 16))]         # square, tall, wide
+    return out
+
+
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
+def test_nullspace_routes_and_columns_match_oracle(p):
+    # both sides of the shape route and the packed-column entry give the
+    # column sweep's basis, which is the reduced one: ascending free columns,
+    # each vector 1 at its own and 0 at the others
+    shapes = set()
+    for rows, nc in _shaped_systems(p):
+        expected = _oracle_nullspace(rows, nc, p)
+        cols = [_pack(col, p) for col in zip(*rows)] if rows else [_pack([], p)] * nc
+        assert nullspace_mod_p(rows, nc, p) == expected
+        assert nullspace_of_columns(cols, len(rows), p) == expected
+        shapes.add((len(rows) > nc) - (len(rows) < nc))
+        free = [max(j for j in range(nc) if v[j]) for v in expected]
+        assert free == sorted(set(free))
+        assert len(free) == nc - rank_mod_p(rows, p) if rows else len(free) == nc
+        for v, fc in zip(expected, free):
+            assert [v[j] for j in free] == [int(j == fc) for j in free]
+            assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+    assert shapes == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
+def test_residues_mod_span_are_coordinates_modulo_the_row_space(p):
+    rng = random.Random(400 + p)
+    for rows in [[], [[0] * 6]] + [_seeded_system(rng, p, rng.randint(1, 8), 10,
+                                                  rng.randint(0, 8)) for _ in range(20)]:
+        nc = len(rows[0]) if rows else 6
+        red, pivots = _oracle_rref(rows, p)
+        free = [c for c in range(nc) if c not in pivots]
+        vecs = [[rng.randrange(-p, 2 * p) for _ in range(nc)] for _ in range(6)]
+        # a combination of the rows plus a vector has the vector's residues
+        vecs += [[(sum(c * r[j] for c, r in zip(cs, rows)) + v[j]) for j in range(nc)]
+                 for cs, v in ((
+                     [rng.randrange(p) for _ in rows], vecs[k]) for k in range(3))]
+        expected = [[(v[f] - sum(v[pc] * r[f] for r, pc in zip(red, pivots))) % p for f in free]
+                    for v in vecs]
+        got = residues_mod_span(rows, vecs, nc, p)
+        assert got == expected
+        assert got[6:] == got[:3]
+        assert residues_mod_span(rows, rows, nc, p) == [[0] * len(free)] * len(rows)
 
 
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
