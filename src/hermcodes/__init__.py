@@ -6,9 +6,10 @@ from .linpoly import GQReport, LinPoly, QPoly, gq_verify, reindex_to_qpoly
 from .hermitian import (HermCode, HermMatrix, bilinear_b, code_from_dict,
                         code_from_matrix_set, code_to_dict, dual_code,
                         from_free_coeffs, full_space, gram_matrix,
-                        hermitian_basis, is_hermitian, poly_from_gram,
+                        hermitian_basis, is_hermitian,
+                        matrix_code_rank_distribution, poly_from_gram,
                         trace_poly)
-from .scheme import (BudgetExceededError, Eigenvalues,
+from .scheme import (BudgetExceededError, Eigenvalues, delta_identity_holds,
                      design_by_extension_count, design_strength,
                      dual_inner_distribution, inner_distribution, neg_q_binom,
                      theorem_distribution)

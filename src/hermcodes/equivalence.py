@@ -11,8 +11,8 @@ N1 acts on the domain copy and N2 on the codomain copy.
 Idealisers are solved in the polynomial model: left means Z with Z o f in
 the code for every codeword f, right means f o Z.  Both are F_p-linear
 membership systems over the code span, in the coordinates modulo the span.
-Every system is built as its columns, one per unknown, in `linalg`'s row
-format and solved from them (`linalg.nullspace_of_columns`).
+Every system is built as its columns, one per unknown, and solved from
+them (`linalg.nullspace_of_columns`).
 
 The kernel and both idealisers are F_p-algebras cut out by a linear system,
 and one routine solves all three: a solution acts as a tuple of F_p
@@ -36,8 +36,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .gf import FieldTower, _is_irreducible
 from .hermitian import HermCode, poly_from_vector, poly_vector
-from .linalg import (FpSpan, _pack, _shift, nullspace_mod_p, nullspace_of_columns,
-                     residues_mod_span)
+from .linalg import FpSpan, nullspace_of_columns, residues_mod_span
 from .linpoly import LinPoly
 from .scheme import DEFAULT_BUDGET, distributions, dual_strength
 
@@ -119,7 +118,7 @@ def _minimal_polynomial(a: tuple, p: int, span: FpSpan) -> tuple[tuple[int, ...]
     while krylov.add(powers[-1]):
         power = tuple(_matmul_p(x, y, p) for x, y in zip(power, a))
         powers.append(_flat(power))
-    (relation,) = nullspace_mod_p(list(zip(*powers)), len(powers), p)
+    (relation,) = nullspace_of_columns(powers, len(powers[0]), p)
     return tuple(relation), all(map(span.contains, powers[:-1]))
 
 
@@ -174,14 +173,15 @@ def kernel_K(code: HermCode) -> EndoSolution:
     height = len(mats) * size
     # The system is solved from its 2 m^2 columns, N1 first, then N2.  Entry
     # g m^2 + i m + j of a column is its coefficient in (N2 X_g - X_g N1)_ij
-    # = 0: N2[i][k] has row k of every X_g in row i of its block, and
-    # N1[k][j] has column k of every X_g, negated, in column j.
-    rows = [_pack([x for mat in mats for x in mat[k] + [0] * (size - m)], p) for k in range(m)]
-    negated = [_pack([x for mat in mats for row in mat for x in [-row[k]] + [0] * (m - 1)], p)
-               for k in range(m)]
-    cols = [_shift(negated[k], j, p) for k in range(m) for j in range(m)]
-    cols += [_shift(rows[k], i * m, p) for i in range(m) for k in range(m)]
-    basis = nullspace_of_columns(cols, height, p)
+    # = 0: N1[k][j] has column k of every X_g, negated, in column j of its
+    # block, and N2[i][k] has row k of every X_g in row i, so each is one of
+    # 2m columns moved down.
+    cols = [[x for mat in mats for row in mat for x in [-row[k]] + [0] * (m - 1)]
+            for k in range(m)]
+    cols += [[x for mat in mats for x in mat[k] + [0] * (size - m)] for k in range(m)]
+    shifted = [(k, j) for k in range(m) for j in range(m)]
+    shifted += [(m + k, i * m) for i in range(m) for k in range(m)]
+    basis = nullspace_of_columns(cols, height, p, shifted)
 
     def pair_of(v: list[int]) -> tuple:
         return ([v[r * m:(r + 1) * m] for r in range(m)],
@@ -207,7 +207,7 @@ def _idealiser(code: HermCode, side: str) -> EndoSolution:
     coords = residues_mod_span([poly_vector(g) for g in code.generators],
                                [poly_vector(u.compose(g) if side == "left" else g.compose(u))
                                 for u in units for g in code.generators], width, p)
-    cols = [_pack([x for c in coords[j * k:(j + 1) * k] for x in c], p) for j in range(width)]
+    cols = [[x for c in coords[j * k:(j + 1) * k] for x in c] for j in range(width)]
     basis = nullspace_of_columns(cols, sum(map(len, coords[:k])), p)
     span, sol = _solve_algebra(t, basis, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
     scalars = t.basis_over_prime(1)

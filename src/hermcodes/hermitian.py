@@ -302,6 +302,32 @@ def dual_code(code: HermCode) -> HermCode:
 # -- matrix-model ingestion ----------------------------------------------------
 
 
+def matrix_span(tower: FieldTower, generators: Sequence[HermMatrix]) -> list[HermMatrix]:
+    """Full additive span of matrix generators (desk scale only)."""
+    n = tower.n
+    states = [g.entry_vector() for g in generators]
+    return [HermMatrix(tower, [state[r * n:(r + 1) * n] for r in range(n)])
+            for state in span_walk(tower.p, states, [0] * (n * n), vector_add(tower))]
+
+
+def matrix_code_rank_distribution(matrices: Iterable[HermMatrix]) -> tuple[int, ...]:
+    """Rank histogram of an explicit matrix set, by direct elimination.
+
+    This is the matrix-model oracle kept independent of the polynomial rank
+    path; the two are compared in the test suite.
+    """
+    mats = list(matrices)
+    if not mats:
+        raise ValueError("empty matrix set")
+    n = mats[0].tower.n
+    if len(set(mats)) != len(mats):
+        raise ValueError("matrices must be pairwise distinct")
+    hist = [0] * (n + 1)
+    for a in mats:
+        hist[a.rank()] += 1
+    return tuple(hist)
+
+
 def code_from_matrix_set(tower: FieldTower, matrices: Sequence[HermMatrix],
                          label: str = "", declared_d: int | None = None) -> HermCode:
     """Build a polynomial-model code from Hermitian matrices.

@@ -15,10 +15,8 @@ row format is picked from p:
 
 Reduced forms are built from that basis and are unique, so identical inputs
 give identical outputs, in every format.  A null space is solved from the
-short side of its matrix: a wide one from its rows, back-substituted, and a
-tall one from its columns, each tagged with an identity entry, so that a
-column reducing to zero is a basis vector as it stands
-(`nullspace_of_columns`).
+columns of its matrix, each tagged with an identity entry, so that a column
+reducing to zero is a basis vector as it stands (`nullspace_of_columns`).
 
 `span_walk` is the one odometer over F_p-combinations of generator states,
 in any format with an `add`: lists of element codes (`vector_add`) or the
@@ -170,32 +168,34 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
 def nullspace_mod_p(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of {v : M v = 0}: for each free column fc of the matrix with the
     given rows, ascending, the solution that is 1 at fc and 0 at the other
-    free columns.  A tall matrix is solved from its columns, any other from
-    its rows."""
-    if len(rows) > ncols:
-        return nullspace_of_columns([_pack(col, p) for col in zip(*rows)], len(rows), p)
-    red, pivots = rref_mod_p(rows, p)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        basis.append([int(c == fc) for c in range(ncols)])
-        for r, pc in zip(red, pivots):
-            basis[-1][pc] = -r[fc] % p
-    return basis
+    free columns."""
+    return nullspace_of_columns(list(zip(*rows)) if rows else [()] * ncols, len(rows), p)
 
 
-def nullspace_of_columns(cols: Sequence, height: int, p: int) -> list[list[int]]:
-    """`nullspace_mod_p` of the matrix whose columns are the given rows of
-    `height` entries in `_echelon`'s format.  Column j, tagged with a 1 at
-    entry height + j, reduces to zero above its tags iff j is a free
-    column, and its tags are then that basis vector: 1 at j and 0 at every
-    other free column, since only pivot columns join the basis."""
-    n = len(cols)
+def nullspace_of_columns(cols: Sequence[Sequence[int]], height: int, p: int,
+                         shifted: Iterable[tuple[int, int]] | None = None) -> list[list[int]]:
+    """`nullspace_mod_p` of the matrix with the given columns of `height`
+    entries.  Given `shifted`, pairs (i, s), the matrix's columns are
+    instead cols[i] moved s entries down, one per pair, in order; the last s
+    entries of cols[i] must be zero.  Column j, tagged with a 1 at entry
+    height + j, reduces to zero above its tags iff j is a free column, and
+    its tags are then that basis vector: 1 at j and 0 at every other free
+    column, since only pivot columns join the basis."""
+    packed = [_pack(c, p) for c in cols]
+    if shifted is not None:
+        if p == 2:
+            packed = [packed[i] << s for i, s in shifted]
+        elif p in _LANES:
+            packed = [packed[i] << 8 * s for i, s in shifted]
+        else:
+            packed = [[0] * s + packed[i][:height - s] for i, s in shifted]
+    n = len(packed)
     if p == 2:
-        tagged = (c | 1 << height + j for j, c in enumerate(cols))
+        tagged = (c | 1 << height + j for j, c in enumerate(packed))
     elif p in _LANES:
-        tagged = (c | 1 << 8 * (height + j) for j, c in enumerate(cols))
+        tagged = (c | 1 << 8 * (height + j) for j, c in enumerate(packed))
     else:
-        tagged = (list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(cols))
+        tagged = (c + [int(i == j) for i in range(n)] for j, c in enumerate(packed))
     null: list = []
     _echelon(tagged, p, height + n, null=null, height=height)
     return [_unpack(v, height, n, p) for v in null]
@@ -223,13 +223,6 @@ def _unpack(row, start: int, n: int, p: int) -> list[int]:
     if p in _LANES:
         return list((row >> 8 * start & (1 << 8 * n) - 1).to_bytes(n, "little"))
     return row[start:start + n]
-
-
-def _shift(row, s: int, p: int):
-    """A row of `_echelon`'s format moved s entries up; its top s entries must be zero."""
-    if p == 2:
-        return row << s
-    return row << 8 * s if p in _LANES else ([0] * s + row)[:len(row)]
 
 
 def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:

@@ -390,6 +390,32 @@ def theorem_distribution(n: int, d: int, q: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def full_rank_residue(n: int, d: int, q: int, size: int) -> int:
+    """A_n mod q^{n-d} from the closed-form distribution.
+
+    For a maximum d-code (size q^{n(n-d+1)}) that is an (n-d)-design, d < n,
+    this is 0.  With b = -q the closed form reads
+
+      A_n = sum_{j=0}^{n-d} (-1)^j b^{C(j,2)} [n j]_b
+                (q^{n(n-d+1-j)} (-1)^{(n+1)j} - 1).
+
+    Each q-power part is divisible by q^n, since j <= n-d.  By the Gaussian
+    binomial theorem sum_{j=0}^{n} (-1)^j b^{C(j,2)} [n j]_b =
+    prod_{i=0}^{n-1} (1 - b^i) = 0, so A_n = sum_{j=n-d+1}^{n} (-1)^j
+    b^{C(j,2)} [n j]_b (mod q^n), and every term there has C(j,2) >= n-d.
+    """
+    return theorem_distribution(n, d, q, size)[n] % (q ** (n - d))
+
+
+def delta_identity_holds(k: int, i: int, q: int) -> bool:
+    """sum_{j=i}^k (-1)^{j-i} (-q)^{C(j-i,2)} [j i][k j] == delta_{k,i}."""
+    acc = 0
+    for j in range(i, k + 1):
+        acc += ((-1) ** (j - i) * (-q) ** ((j - i) * (j - i - 1) // 2)
+                * neg_q_binom(j, i, q) * neg_q_binom(k, j, q))
+    return acc == (1 if k == i else 0)
+
+
 # -- design characterization by extension counting ---------------------------------
 
 

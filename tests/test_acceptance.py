@@ -8,7 +8,7 @@ is an (n-d)-design, d < n, has A_n = 0 (mod q^{n-d}).  Two derivations that
 do not use the package give it: counting isotropic points in PG(2, q^2) for
 n = 3, d = 2 (done inline in the test), and the Gaussian binomial theorem
 applied to the closed-form distribution for any n and d < n (the docstring
-of `full_rank_residue` in `tests/oracles.py`).  An earlier statement of this criterion
+of `scheme.full_rank_residue`).  An earlier statement of this criterion
 asked for residue q^{n-d} - 1; no source in the repository says where the
 "-1" came from.  It matches the dual side, A'_n = q^n - 1 for the dual of a
 maximum 2-code in H_3(q^2) (criterion 7), but that reading is unconfirmed.
@@ -22,7 +22,7 @@ import pytest
 
 from hermcodes import (HermCode, build_E, build_H, build_Htilde,
                        build_Htilde_dual, build_M, compare_fingerprints,
-                       design_by_extension_count,
+                       delta_identity_holds, design_by_extension_count,
                        design_strength, dual_code, dual_inner_distribution,
                        find_gamma, full_space, inner_distribution,
                        invariant_fingerprint, kernel_K, left_idealiser,
@@ -31,8 +31,6 @@ from hermcodes import (HermCode, build_E, build_H, build_Htilde,
 from hermcodes.cli import _run_check
 from hermcodes.linpoly import QPoly, gq_verify
 from hermcodes.scheme import DEFAULT_BUDGET, max_code_size
-
-from oracles import delta_identity_holds
 
 
 @pytest.fixture(scope="module")

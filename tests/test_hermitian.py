@@ -6,12 +6,12 @@ import pytest
 from hermcodes import (HermCode, LinPoly, bilinear_b, code_from_dict,
                        code_from_matrix_set, code_to_dict, dual_code,
                        from_free_coeffs, full_space, gram_matrix,
-                       hermitian_basis, is_hermitian, poly_from_gram,
+                       hermitian_basis, is_hermitian,
+                       matrix_code_rank_distribution, poly_from_gram,
                        trace_poly)
-from hermcodes.hermitian import HermMatrix, hermitian_matrix_basis, index_pairs
+from hermcodes.hermitian import (HermMatrix, hermitian_matrix_basis, index_pairs,
+                                 matrix_span)
 from hermcodes.linalg import rank_mod_p
-
-from oracles import matrix_code_rank_distribution, matrix_span
 
 
 def build_H321(tower):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (FpSpan, _pack, line_walk, nullity_of_code_columns,
+from hermcodes.linalg import (FpSpan, line_walk, nullity_of_code_columns,
                              nullspace_mod_p, nullspace_of_columns, rank_mod_p, rref_mod_p,
                              residues_mod_span, solve_mod_p, span_walk, vector_add)
 
@@ -209,7 +209,7 @@ def test_elimination_matches_column_sweep_oracle(p):
 
 
 def _shaped_systems(p):
-    """Systems of every shape the shape-routed nullspace meets, as (rows, ncols)."""
+    """Tall, wide, square and degenerate systems, as (rows, ncols)."""
     rng = random.Random(300 + p)
     out = [(rows, len(rows[0]) if rows else 4) for rows in _systems(p)]
     out.append((_seeded_system(rng, p, 30, 12, 12), 12))                 # full column rank
@@ -222,14 +222,14 @@ def _shaped_systems(p):
 
 
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
-def test_nullspace_routes_and_columns_match_oracle(p):
-    # both sides of the shape route and the packed-column entry give the
+def test_nullspace_rows_and_columns_match_oracle(p):
+    # on tall, wide and square systems the row and column entries give the
     # column sweep's basis, which is the reduced one: ascending free columns,
     # each vector 1 at its own and 0 at the others
     shapes = set()
     for rows, nc in _shaped_systems(p):
         expected = _oracle_nullspace(rows, nc, p)
-        cols = [_pack(col, p) for col in zip(*rows)] if rows else [_pack([], p)] * nc
+        cols = [list(col) for col in zip(*rows)] if rows else [[]] * nc
         assert nullspace_mod_p(rows, nc, p) == expected
         assert nullspace_of_columns(cols, len(rows), p) == expected
         shapes.add((len(rows) > nc) - (len(rows) < nc))
@@ -240,6 +240,23 @@ def test_nullspace_routes_and_columns_match_oracle(p):
             assert [v[j] for j in free] == [int(j == fc) for j in free]
             assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
     assert shapes == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
+def test_shifted_columns_are_the_columns_they_name(p):
+    # each pair (i, s) is column i moved s entries down, its last s dropped
+    rng = random.Random(500 + p)
+    for rows, nc in _shaped_systems(p):
+        h = len(rows)
+        tails = [rng.randint(0, h) for _ in range(nc)]
+        cols = [list(c[:h - t]) + [0] * t
+                for c, t in zip(zip(*rows) if rows else [()] * nc, tails)]
+        picks = rng.choices(range(nc), k=nc + 2) if nc else []
+        shifted = [(i, rng.randint(0, tails[i])) for i in picks]
+        moved = [[0] * s + cols[i][:h - s] for i, s in shifted]
+        expected = _oracle_nullspace([list(r) for r in zip(*moved)], len(moved), p)
+        assert nullspace_of_columns(cols, h, p, shifted) == expected
+        assert nullspace_of_columns(moved, h, p) == expected
 
 
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermcodes import (HermCode, build_E, build_H, build_M, build_Htilde,
-                       design_by_extension_count,
+                       delta_identity_holds, design_by_extension_count,
                        design_strength, dual_inner_distribution, full_space,
                        gram_matrix, hermitian_basis, inner_distribution,
                        neg_q_binom, theorem_distribution)
@@ -15,13 +15,10 @@ from hermcodes.cli import _run_check
 from hermcodes.constructions import tower_for
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyError,
                               _character_sum, conjugate_trace, eigenvalues,
-                              max_code_size)
-from hermcodes.hermitian import dual_code
+                              full_rank_residue, max_code_size)
+from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
 from hermcodes.linalg import (nullity_of_code_columns, rank_subfield_matrix, span_walk,
                               vector_add, word_nullity)
-
-from oracles import (delta_identity_holds, full_rank_residue, matrix_code_rank_distribution,
-                     matrix_span)
 
 
 # -- character sums ----------------------------------------------------------------
@@ -195,6 +192,7 @@ def test_inner_distribution_full_space(tower_q2):
     # the histogram of the whole space equals the matrix-model tally
     hist = inner_distribution(full_space(tower_q2))
     mats = matrix_span(tower_q2, [gram_matrix(h) for h in hermitian_basis(tower_q2)])
+    from hermcodes import matrix_code_rank_distribution
     assert hist == matrix_code_rank_distribution(mats)
     assert hist == (1, 21, 210, 280)
 
@@ -215,6 +213,7 @@ def pairwise_inner_distribution(mats):
 def test_pairwise_distribution_matches_histogram_for_additive_sets(tower_q2):
     mats = matrix_span(tower_q2, build_M(tower_q2).matrix_generators[:4])
     hist = pairwise_inner_distribution(mats)
+    from hermcodes import matrix_code_rank_distribution
     direct = matrix_code_rank_distribution(mats)
     assert hist == tuple(Fraction(v) for v in direct)
 
