@@ -395,6 +395,8 @@ def code_from_dict(data: dict) -> HermCode:
     for key in ("p", "e", "n"):
         if not _is_int(spec.get(key)):
             raise ValueError(f"code file field 'tower.{key}' must be an integer")
+    if spec["p"] < 2:
+        raise ValueError(f"code file field 'tower.p' must be a prime, not {spec['p']}")
     modulus = _file_digits(spec.get("modulus"), spec["p"], None, "tower.modulus")
     t = make_tower(spec["p"], spec["e"], spec["n"], modulus)
     model = data.get("model", "poly")

@@ -18,6 +18,9 @@ give identical outputs, in every format.  A null space is solved from the
 columns of its matrix, each tagged with an identity entry, so that a column
 reducing to zero is a basis vector as it stands (`nullspace_of_columns`).
 
+`PackedMap` packs the columns of an F_p-linear map once, so that each
+image is a few multiply-adds of whole packed rows.
+
 `span_walk` is the one odometer over F_p-combinations of generator states,
 in any format with an `add`: lists of element codes (`vector_add`) or the
 packed words of `pack_word`, which hold a square digit matrix in the row
@@ -268,6 +271,88 @@ class FpSpan:
         dim = self.dim
         _echelon([_pack(vec, self.p)], self.p, self.ncols, self.basis)
         return self.dim > dim
+
+    def members(self) -> Iterable:
+        """Every vector of the span once, as `row_key` gives it, p^dim in all."""
+        p, width = self.p, self.ncols
+        if p == 2:
+            return span_walk(p, list(self.basis.values()), 0, int.__xor__)
+        if p in _LANES:
+            return span_walk(p, [row for row, _ in self.basis.values()], 0,
+                             lambda a, b: _mod_lanes(a + b, width, p))
+        rows = [[0] * pc + row for pc, row in self.basis.items()]
+        return map(tuple, span_walk(p, rows, [0] * width,
+                                    lambda a, b: [(x + y) % p for x, y in zip(a, b)]))
+
+
+def row_key(vec: Sequence[int], p: int):
+    """A vector over F_p as `FpSpan.members` yields it: hashable, and equal
+    iff the vectors are equal mod p."""
+    row = _pack(vec, p)
+    return tuple(row) if isinstance(row, list) else row
+
+
+class PackedMap:
+    """An F_p-linear map whose images are `rows` vectors of `blocks` x
+    `width` entries, given by its columns: column i holds, for each row r,
+    the `width` entries cols[i][r].  `image(coeffs)` is the span of the rows
+    whose block b is sum_i coeffs[b][i] * cols[i][r].
+
+    Each column is packed once per block, all rows side by side in one row
+    of `_echelon`'s format, so an image costs one multiply-add per nonzero
+    coefficient (one XOR at p = 2).  Byte lanes are reduced mod p only when
+    the next multiply-add could carry one past 255: after every 63 at p = 3,
+    every one at p = 13.
+    """
+
+    def __init__(self, cols: Sequence[Sequence[Sequence[int]]], p: int, width: int,
+                 blocks: int):
+        self.p, self.stride = p, width * blocks
+        self.rows = len(cols[0]) if cols else 0
+        stride = self.stride
+        packed = []
+        for b in range(blocks):
+            block = []
+            for col in cols:
+                vec = [0] * (self.rows * stride)
+                for r, entries in enumerate(col):
+                    vec[r * stride + b * width:r * stride + (b + 1) * width] = entries
+                block.append(_pack(vec, p))
+            packed.append(block)
+        self._cols = packed
+        self._limit = (255 - (p - 1)) // (p - 1) ** 2 if p in _LANES else 0
+
+    def image(self, coeffs: Sequence[Sequence[int]]) -> FpSpan:
+        """The span of the images of the rows under the coefficient blocks,
+        one list of coefficients in [0, p) per block."""
+        p, stride = self.p, self.stride
+        size = self.rows * stride
+        terms = [(c, col) for block, cs in zip(self._cols, coeffs)
+                 for c, col in zip(cs, block) if c]
+        if p == 2:
+            acc = 0
+            for _, col in terms:
+                acc ^= col
+            mask = (1 << stride) - 1
+            rows = [acc >> r * stride & mask for r in range(self.rows)]
+        elif p in _LANES:
+            acc, limit = 0, self._limit
+            for k, (c, col) in enumerate(terms):
+                if k and not k % limit:
+                    acc = _mod_lanes(acc, size, p)
+                acc += c * col
+            raw = acc.to_bytes(size, "little").translate(lane_mod_table(p))
+            rows = [int.from_bytes(raw[r * stride:(r + 1) * stride], "little")
+                    for r in range(self.rows)]
+        else:
+            acc = [0] * size
+            for c, col in terms:
+                acc = [a + c * x for a, x in zip(acc, col)]
+            rows = [[a % p for a in acc[r * stride:(r + 1) * stride]]
+                    for r in range(self.rows)]
+        span = FpSpan(stride, p)
+        _echelon(rows, p, stride, span.basis)
+        return span
 
 
 def span_walk(p: int, gen_states: Sequence, start, add: Callable):

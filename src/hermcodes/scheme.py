@@ -39,8 +39,8 @@ from typing import NamedTuple, Optional, Sequence
 from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
                         hermitian_matrix_basis)
-from .linalg import (FpSpan, line_walk, pack_word, rank_subfield_matrix, span_walk,
-                     vector_add, word_add, word_nullity)
+from .linalg import (PackedMap, line_walk, pack_word, rank_subfield_matrix, row_key,
+                     span_walk, vector_add, word_add, word_nullity)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -480,6 +480,85 @@ def _restrict(tower: FieldTower, u, gram: list[list[int]]) -> tuple[int, ...]:
     return tuple(restricted)
 
 
+def _q2_coordinates(tower: FieldTower) -> dict:
+    """The F_p-coordinates of every element of F_{q^2} in `basis_over_prime(2)`."""
+    key = "q2_coordinates"
+    if key not in tower.cache:
+        p = tower.p
+        basis = list(zip(*(tower.digits(b) for b in tower.basis_over_prime(2))))
+        tower.cache[key] = {
+            tower.from_digits(sum(c * d for c, d in zip(cs, row)) % p for row in basis): cs
+            for cs in itertools.product(range(p), repeat=2 * tower.e)}
+    return tower.cache[key]
+
+
+def _probes(tower: FieldTower, t: int) -> list[tuple[int, ...]]:
+    """Vectors x of F_{q^2}^t whose values x H conj(x)^T determine a t x t
+    Hermitian form H, F_p-linearly: the unit vectors e_a give the diagonal,
+    and e_a + e_b and e_a + w e_b for a < b, with w outside F_q, give the
+    traces to F_q of H_ab and of w^q H_ab, hence H_ab.  Each x is 1 at its
+    first nonzero entry."""
+    units = [tuple(int(i == a) for i in range(t)) for a in range(t)]
+    if t == 1:
+        return units
+    w = tower.subfield_generator(2)
+    return units + [tuple(1 if i == a else lam if i == b else 0 for i in range(t))
+                    for a, b in itertools.combinations(range(t), 2) for lam in (1, w)]
+
+
+def _probe_coordinates(tower: FieldTower, h, probes) -> list[int]:
+    """The coordinates of x H conj(x)^T at each probe x, concatenated, for a
+    t x t form H flattened row-major: H as the images of `_restricted_spans`
+    give it."""
+    coords, t = _q2_coordinates(tower), len(probes[0])
+    out = []
+    for x in probes:
+        conj = [tower.frobenius(c, 1) for c in x]
+        acc = 0
+        for a, xa in enumerate(x):
+            for b, cb in enumerate(conj):
+                if xa and cb and h[a * t + b]:
+                    acc = tower.add(acc, tower.mul(tower.mul(xa, h[a * t + b]), cb))
+        out += coords[acc]
+    return out
+
+
+def _restricted_spans(code: HermCode, subspaces, probes):
+    """Yield, for each subspace U in order, U and the F_p-span of the
+    generators' Gram forms restricted to U, each restriction given by its
+    values R(v, v) = v G conj(v)^T at v = sum_a x_a U_a for the probes x.
+
+    G is Hermitian, so R(v, v) = sum_j G_jj w_jj + sum_{j<k} Tr(G_jk w_jk)
+    with w_jk = v_j conj(v_k), which is F_p-linear in the coordinates of the
+    w_jk.  One `PackedMap` per code holds that map: column (j, k, d), j <= k,
+    is G_jj b_d, or G_jk b_d + G_kj b_d^q, for every generator, b_d running
+    over the F_p-basis of F_{q^2}.  Each U then costs the products w_jk and
+    one image, whatever dim(C).  A reducer reads each span whole: the
+    extension count its members, a count that needs only its dimension
+    (the radical count of ROADMAP item 15) its dim."""
+    tower = code.tower
+    n, p, mul, add = tower.n, tower.p, tower.mul, tower.add
+    coords = _q2_coordinates(tower)
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    basis = [(b, tower.frobenius(b, 1)) for b in tower.basis_over_prime(2)]
+    grams = [form_matrix(g) for g in code.generators]
+    cols = [[coords[mul(g[j][j], b) if j == k else add(mul(g[j][k], b), mul(g[k][j], cb))]
+             for g in grams]
+            for j, k in pairs for b, cb in basis]
+    fmap = PackedMap(cols, p, len(basis), len(probes))
+    for u in subspaces:
+        coeffs = []
+        for x in probes:
+            a = x.index(1)
+            v = u[a]
+            for xb, ub in zip(x[a + 1:], u[a + 1:]):
+                if xb:
+                    v = list(map(add, v, (mul(xb, c) for c in ub)))
+            conj = [tower.frobenius(c, 1) for c in v]
+            coeffs.append([c for j, k in pairs for c in coords[mul(v[j], conj[k])]])
+        yield u, fmap.image(coeffs)
+
+
 def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDGET,
                               method: str = "enumerate") -> ExtensionCountReport:
     """For every t-subspace U and Hermitian form H on U, count codewords whose
@@ -490,10 +569,13 @@ def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDG
     The restriction f -> (Gram form of f on U) is F_p-linear, so on the
     F_p-span C of the generators each count is |C| / |image| for a form in
     the image (the F_p-span of the generators' restrictions) and 0 for any
-    other form.  `method="span"` computes the counts that way, from the
-    generators alone; `method="enumerate"` (the default, and the oracle)
-    restricts every codeword.  Each is charged its own restrictions:
-    dim(C) x subspaces for "span", |C| x subspaces for "enumerate".
+    other form.  `method="span"` computes the counts that way: one packed
+    F_p-linear map per code restricts every generator to U at once
+    (`_restricted_spans`), and a walk of the image span, never larger than
+    the list of forms, marks the forms it holds.  `method="enumerate"` (the
+    default, and the oracle) restricts every codeword.  Each is charged its
+    own restrictions: dim(C) x subspaces for "span", |C| x subspaces for
+    "enumerate".
     """
     tower = code.tower
     if t < 1 or t > tower.n:
@@ -508,15 +590,14 @@ def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDG
     forms = _hermitian_forms(tower, t)
     if method == "span":
         p = tower.p
-        gen_grams = [form_matrix(g) for g in code.generators]
+        probes = _probes(tower, t)
+        form_of = {row_key(_probe_coordinates(tower, h, probes), p): h for h in forms}
         counts = {}
-        for u in subspaces:
-            image = FpSpan(t * t * tower.m, p)
-            for gram in gen_grams:
-                image.add(tower.digit_vector(_restrict(tower, u, gram)))
+        for u, image in _restricted_spans(code, subspaces, probes):
+            held = {form_of[key] for key in image.members()}
             fibre = p ** (code.dim - image.dim)
             for h in forms:
-                counts[(u, h)] = fibre if image.contains(tower.digit_vector(h)) else 0
+                counts[(u, h)] = fibre if h in held else 0
     else:
         counts = {(u, h): 0 for u in subspaces for h in forms}
         for f in code.iter_span():

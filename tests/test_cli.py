@@ -453,6 +453,10 @@ MALFORMED_FILES = {
     "tower not an object": (_edit("tower", value=[2, 1, 3]), "'tower'"),
     "no tower key e": (_edit("tower", "e"), "'tower.e'"),
     "p as a string": (_edit("tower", "p", value="2"), "'tower.p'"),
+    # p < 2 is refused before the digits are checked against [0, p)
+    "p = 0": (_edit("tower", "p", value=0), "'tower.p'"),
+    "p = 1": (_edit("tower", "p", value=1), "'tower.p'"),
+    "p = -3": (_edit("tower", "p", value=-3), "'tower.p'"),
     "no modulus": (_edit("tower", "modulus"), "'tower.modulus'"),
     "no generators": (_edit("generators"), "'generators'"),
     "generators not a list": (_edit("generators", value=5), "'generators'"),

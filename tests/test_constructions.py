@@ -152,7 +152,7 @@ def test_htilde_dual_closed_form(towers):
     assert hist == (1, 0, 0, 26)  # every nonzero member invertible
 
 
-@pytest.mark.parametrize("q, n", [(3, 5), (5, 5), (3, 7)])
+@pytest.mark.parametrize("q, n", [(3, 5), (5, 5), (3, 7), (7, 3)])
 def test_htilde_dual_closed_form_at_wider_n(q, n):
     # the paper's closed-form dual is the annihilator that dual_code solves for
     t = make_tower(q, 1, n)

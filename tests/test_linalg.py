@@ -4,9 +4,10 @@ import random
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (FpSpan, line_walk, nullity_of_code_columns,
-                             nullspace_mod_p, nullspace_of_columns, rank_mod_p, rref_mod_p,
-                             residues_mod_span, solve_mod_p, span_walk, vector_add)
+from hermcodes.linalg import (FpSpan, PackedMap, line_walk, nullity_of_code_columns,
+                             nullspace_mod_p, nullspace_of_columns, rank_mod_p, row_key,
+                             rref_mod_p, residues_mod_span, solve_mod_p, span_walk,
+                             vector_add)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -299,6 +300,37 @@ def test_fp_span_matches_oracle_ranks(p):
                 assert span.contains(probe) != grows
                 assert span.dim == rank + added
         assert span.dim == len(_oracle_rref(rows, p)[0])
+
+
+def _oracle_span(rows, width, p):
+    """Every combination of the rows, as `row_key` gives it."""
+    return {row_key([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(width)], p)
+            for cs in itertools.product(range(p), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
+def test_packed_map_images_match_their_combinations(p):
+    # block b of row r is sum_i coeffs[b][i] * cols[i][r]; the all-(p-1) case
+    # pushes every lane as far as it goes, past 255 unless it is reduced in time
+    rng = random.Random(700 + p)
+    cases = [(0, 2, 1, 3), (1, 2, 1, 1), (3, 2, 2, 40), (2, 4, 3, 5), (3, 1, 1, 70)]
+    for rows, width, blocks, ncols in cases:
+        for fill in ("random", "top"):
+            if fill == "top":
+                cols = [[[p - 1] * width for _ in range(rows)] for _ in range(ncols)]
+                coeffs = [[p - 1] * ncols for _ in range(blocks)]
+            else:
+                cols = [[[rng.randrange(p) for _ in range(width)] for _ in range(rows)]
+                        for _ in range(ncols)]
+                coeffs = [[rng.randrange(p) for _ in range(ncols)] for _ in range(blocks)]
+            images = [[sum(c * col[r][j] for c, col in zip(cs, cols)) % p
+                       for cs in coeffs for j in range(width)] for r in range(rows)]
+            span = PackedMap(cols, p, width, blocks).image(coeffs)
+            assert span.dim == (rank_mod_p(images, p) if rows else 0)
+            members = list(span.members())
+            assert len(members) == p ** span.dim
+            assert set(members) == _oracle_span(images, width * blocks, p)
+            assert all(span.contains(v) for v in images)
 
 
 @pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (5, 1, 3),

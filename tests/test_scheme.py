@@ -16,8 +16,9 @@ from hermcodes.constructions import tower_for
 from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyError,
                               _character_sum, conjugate_trace, eigenvalues,
                               full_rank_residue, max_code_size)
-from hermcodes.hermitian import dual_code, matrix_code_rank_distribution, matrix_span
-from hermcodes.linalg import (nullity_of_code_columns, rank_subfield_matrix, span_walk,
+from hermcodes.hermitian import (dual_code, form_matrix, matrix_code_rank_distribution,
+                                 matrix_span)
+from hermcodes.linalg import (FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk,
                               vector_add, word_nullity)
 
 
@@ -415,6 +416,78 @@ def test_extension_counts_span_route_matches_enumeration(tower_q2, tower_q3, tow
         assert list(fast.counts.items()) == list(slow.counts.items()), (code.label, t)
         assert (fast.uniform, fast.common_count, fast.witnesses) == \
             (slow.uniform, slow.common_count, slow.witnesses), (code.label, t)
+
+
+def _span_counts_by_generator(code, t):
+    """The extension counts as the span route once took them: restrict each
+    generator's Gram form to U on its own, span the digit vectors of the
+    restrictions, and test every form for membership.  An oracle where
+    enumerating the code does not fit."""
+    tower = code.tower
+    p = tower.p
+    grams = [form_matrix(g) for g in code.generators]
+    forms = scheme._hermitian_forms(tower, t)
+    counts = {}
+    for u in scheme._subspace_representatives(tower, t):
+        image = FpSpan(t * t * tower.m, p)
+        for gram in grams:
+            image.add(tower.digit_vector(scheme._restrict(tower, u, gram)))
+        fibre = p ** (code.dim - image.dim)
+        for h in forms:
+            counts[(u, h)] = fibre if image.contains(tower.digit_vector(h)) else 0
+    return counts
+
+
+def _generator_oracle_cases():
+    """Parameters (code builder, t), each named: p = 2 with e = 2, q = 5, and
+    n = 2 full spaces on byte lanes (p = 7; p = 13 reduces its lanes after
+    every add) and on residue lists (p = 17), each also without its last
+    generator, which makes the t = 2 counts non-uniform."""
+    cases = [(f"H(3,2,1)q4-t{t}",
+              lambda: build(ConstructionParams(family="H", q=4, n=3, d=2, s=1)), t)
+             for t in (1, 2)]
+    cases.append(("Htilde(3,1)q5-t1",
+                  lambda: build(ConstructionParams(family="Htilde", q=5, n=3, s=1)), 1))
+    for p in (7, 13, 17):
+        for t in (1, 2):
+            cases.append((f"full-n2-q{p}-t{t}", lambda p=p: full_space(make_tower(p, 1, 2)), t))
+            cases.append((f"full-minus-one-n2-q{p}-t{t}",
+                          lambda p=p: HermCode(make_tower(p, 1, 2),
+                                               full_space(make_tower(p, 1, 2)).generators[:-1],
+                                               label=f"full-minus-one q={p}"), t))
+    return [pytest.param(builder, t, id=name) for name, builder, t in cases]
+
+
+@pytest.mark.parametrize("builder, t", _generator_oracle_cases())
+def test_extension_counts_span_route_matches_the_generator_oracle(builder, t):
+    code = builder()
+    rep = design_by_extension_count(code, t, method="span")
+    expected = _span_counts_by_generator(code, t)
+    assert list(rep.counts.items()) == list(expected.items()), (code.label, t)
+    # and the enumeration, on the cases small enough to walk quickly
+    if code.size * len(scheme._subspace_representatives(code.tower, t)) <= 30_000:
+        slow = design_by_extension_count(code, t, method="enumerate")
+        assert list(slow.counts.items()) == list(expected.items()), (code.label, t)
+    values = set(expected.values())
+    assert rep.uniform == (len(values) == 1)
+    assert rep.common_count == (values.pop() if rep.uniform else None)
+    if not rep.uniform:
+        assert len(rep.witnesses) == 2
+        assert all(expected[(w["subspace"], w["form"])] == w["count"] for w in rep.witnesses)
+
+
+@pytest.mark.parametrize("tower_name", ["tower_q2", "tower_q3"])
+def test_extension_counts_of_the_zero_code(tower_name, request):
+    # dim 0: only the zero form extends, once, on every subspace
+    tower = request.getfixturevalue(tower_name)
+    zero = HermCode(tower, [], label="zero")
+    for t in (1, tower.n):
+        rep = design_by_extension_count(zero, t, method="span")
+        assert list(rep.counts.items()) == \
+            list(_span_counts_by_generator(zero, t).items()) == \
+            list(design_by_extension_count(zero, t, method="enumerate").counts.items())
+        assert all(v == (0 if any(h) else 1) for (_, h), v in rep.counts.items())
+        assert not rep.uniform
 
 
 def test_extension_count_rejects_unknown_method(tower_q2):
