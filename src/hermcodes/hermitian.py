@@ -172,8 +172,8 @@ def form_matrix(f: LinPoly) -> list[list[int]]:
     t = f.tower
     basis = t.q2_basis()
     images = [f.eval(b) for b in basis]
-    return [[t.rel_trace(t.mul(t.frobenius(ek, 1), fj), 2 * t.n, 2)
-             for ek in basis] for fj in images]
+    conj = [t.frobenius(ek, 1) for ek in basis]
+    return [[t.rel_trace(t.mul(ck, fj), 2 * t.n, 2) for ck in conj] for fj in images]
 
 
 def gram_matrix(f: LinPoly) -> HermMatrix:
@@ -252,6 +252,12 @@ class HermCode:
     @property
     def n(self) -> int:
         return self.tower.n
+
+    def generator_forms(self) -> list[list[list[int]]]:
+        """The generators' Gram matrices (`form_matrix`), kept in self.cache."""
+        if "forms" not in self.cache:
+            self.cache["forms"] = [form_matrix(f) for f in self.generators]
+        return self.cache["forms"]
 
     @property
     def matrix_generators(self) -> tuple[HermMatrix, ...]:

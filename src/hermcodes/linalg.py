@@ -23,15 +23,21 @@ image is a few multiply-adds of whole packed rows.
 
 `span_walk` is the one odometer over F_p-combinations of generator states,
 in any format with an `add`: lists of element codes (`vector_add`) or the
-packed words of `pack_word`, which hold a square digit matrix in the row
-format, so an odometer step of the inner distribution is one integer add
-and one `translate` at 3 <= p <= 13.
+words of `gram_word`, an n x n matrix over F_{q^2} with one byte per entry.
+
+A byte entry is an index into F_{q^2}, 0 for zero and k + 1 for omega^k
+(`q2_tables`), which fits a byte for every q <= 16.  Each index then has
+a `bytes.translate` table for adding it and one for each multiple, so an
+odometer step of the inner distribution is one table lookup per entry, and
+`gram_rank` eliminates the n rows over F_{q^2} directly, where the F_p
+nullity of the word's q^2-polynomial (`nullity_of_code_columns`) would
+eliminate an m x m matrix, m = 2ne.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf import FieldTower, lane_mod_table, pack_lanes
 
@@ -359,10 +365,11 @@ def span_walk(p: int, gen_states: Sequence, start, add: Callable):
     """Yield `start` plus every F_p-combination of the generator states,
     one amortized `add` per step.
 
-    `add(state, gen)` returns the sum of two states in the caller's format:
-    `vector_add` for lists of element codes, `word_add` for the words of
-    `pack_word`.  The order is an odometer over the generator coordinates,
-    the first generator's digit turning fastest, so `start` comes first.
+    `add(state, gen)` returns the sum of a state and a generator in the
+    caller's format: `vector_add` for lists of element codes, `gram_add` for
+    the byte words of `gram_word` and generators as `gram_operand`s.  The
+    order is an odometer over the generator coordinates, the first
+    generator's digit turning fastest, so `start` comes first.
     """
     k = len(gen_states)
     cur = start
@@ -386,11 +393,12 @@ def line_walk(p: int, gen_states: Sequence, zero, add: Callable):
     For F_p-independent generators that is 1 + (p^k - 1)/(p - 1) states, and
     every nonzero combination is c times exactly one of them, c in F_p^*.
     Generator i leads p^i of them: `span_walk` over the first i generators,
-    started from generator i.
+    started from zero plus generator i, so a generator need only be a right
+    operand of `add` (`gram_operand`), not a state.
     """
     yield zero
     for i, lead in enumerate(gen_states):
-        yield from span_walk(p, gen_states[:i], lead, add)
+        yield from span_walk(p, gen_states[:i], add(zero, lead), add)
 
 
 def vector_add(tower: FieldTower) -> Callable:
@@ -399,33 +407,87 @@ def vector_add(tower: FieldTower) -> Callable:
     return lambda a, b: list(map(add, a, b))
 
 
-def pack_word(tower: FieldTower, columns: Sequence[int]):
-    """The m columns of a square digit matrix, as element codes, packed as
-    one word for `word_add` and `word_nullity`.  At 3 <= p <= 13 a word is
-    one integer whose byte lanes tm .. tm + m - 1 hold the digits of column
-    t, that is row t of the transpose in the row format; otherwise it is
-    the list of codes."""
-    if tower.p in _LANES:
-        return pack_lanes(tower.digit_vector(columns))
-    return list(columns)
+class Q2Tables(NamedTuple):
+    """F_{q^2} arithmetic on byte indices, 0 for zero and k + 1 for omega^k
+    (omega = `subfield_generator(2)`), as `bytes.translate` tables."""
+    index: dict   # element code -> index
+    add: list     # add[a]: b -> a + b
+    clear: list   # clear[g][f], g != 0: b -> (-f/g) b
 
 
-def word_add(tower: FieldTower) -> Callable:
-    """The sum of two words of `pack_word`."""
-    if tower.p not in _LANES:
-        return vector_add(tower)
-    size, table = tower.m ** 2, lane_mod_table(tower.p)
-    return lambda a, b: int.from_bytes((a + b).to_bytes(size, "little").translate(table),
-                                       "little")
+def q2_tables(tower: FieldTower) -> Q2Tables | None:
+    """The `Q2Tables` of the tower, kept in tower.cache, or None when an
+    index does not fit a byte (q^2 > 256)."""
+    key = "q2_tables"
+    if key not in tower.cache:
+        tower.cache[key] = _q2_tables(tower) if tower.q ** 2 <= 256 else None
+    return tower.cache[key]
 
 
-def word_nullity(tower: FieldTower, word) -> int:
-    """`nullity_of_code_columns` of the columns packed in a word of `pack_word`."""
-    p, m = tower.p, tower.m
-    if p not in _LANES:
-        return nullity_of_code_columns(tower, word)
-    mask = (1 << 8 * m) - 1
-    return m - len(_echelon([word >> 8 * m * t & mask for t in range(m)], p, m))
+def _q2_tables(tower: FieldTower) -> Q2Tables:
+    """O(q^2) tower operations: the powers of omega and 1 + omega^k.  Every
+    product table is a rotation of the nonzero indices, and a + b =
+    a (1 + b/a) composes three tables."""
+    size = tower.q ** 2 - 1
+    omega = tower.subfield_generator(2)
+    powers = [1]
+    for _ in range(size - 1):
+        powers.append(tower.mul(powers[-1], omega))
+    index = {c: k + 1 for k, c in enumerate(powers)}
+    index[0] = 0
+    pad = bytes(255 - size)
+    logs = bytes(range(1, size + 1))
+    mul = [bytes(256)] + [b"\0" + logs[k:] + logs[:k] + pad for k in range(size)]
+    one_plus = bytes([1] + [index[tower.add(1, c)] for c in powers]) + pad
+    add = [bytes(range(256))] + [mul[-k % size + 1].translate(one_plus).translate(mul[k + 1])
+                                 for k in range(size)]
+    # -1 = omega^(size/2) at odd p, and -f/g has log (f - 1) - (g - 1) (+ size/2)
+    half = size // 2 if tower.p != 2 else 0
+    nonzero = mul[1:]
+    clear = [None] + [[mul[0]] + nonzero[(half - k) % size:] + nonzero[:(half - k) % size]
+                      for k in range(size)]
+    return Q2Tables(index, add, clear)
+
+
+def gram_word(tables: Q2Tables, rows: Sequence[Sequence[int]]) -> bytes:
+    """An n x n matrix over F_{q^2}, given by element codes, as the byte
+    indices of its entries, row-major: the word of `gram_add` and `gram_rank`."""
+    return bytes(tables.index[c] for row in rows for c in row)
+
+
+def gram_operand(tables: Q2Tables, word: bytes) -> tuple:
+    """A word as the right operand of `gram_add`: the add table of each entry."""
+    return tuple(map(tables.add.__getitem__, word))
+
+
+def gram_add(word: bytes, operand: tuple) -> bytes:
+    """The entrywise sum of a word and a `gram_operand`, one table lookup per
+    entry."""
+    return bytes(map(bytes.__getitem__, operand, word))
+
+
+def gram_rank(tables: Q2Tables, word: bytes, n: int) -> int:
+    """Rank over F_{q^2} of the n x n matrix of a `gram_word`.
+
+    Like `_echelon` it streams the rows into an echelon basis: a row,
+    stripped of its leading zeros, is cleared at its first entry f while the
+    basis has a row there, with pivot entry g, by adding that row times
+    -f/g (one `translate` and one lookup per entry), and joins the basis
+    when it has none.  The basis maps the length of each row's tail to the
+    tail and the clearing tables of its pivot.
+    """
+    at, add, clear = bytes.__getitem__, tables.add.__getitem__, tables.clear
+    basis: dict = {}
+    for i in range(0, n * n, n):
+        tail = word[i:i + n].lstrip(b"\0")
+        while tail:
+            entry = basis.get(len(tail))
+            if entry is None:
+                basis[len(tail)] = (tail, clear[tail[0]])
+                break
+            row, c = entry
+            tail = bytes(map(at, map(add, tail), row.translate(c[tail[0]]))).lstrip(b"\0")
+    return len(basis)
 
 
 def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:

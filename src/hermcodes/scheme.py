@@ -4,11 +4,11 @@ Inner distributions are exact rank histograms of the code span.  The codes
 are additive, so closed under scaling by F_p^*, and scaling by c != 0 keeps
 the rank; the histogram ranks the zero word once (weight 1) and one word per
 F_p^*-line of the span (weight p - 1), 1 + (|C| - 1)/(p - 1) words in all.
-A word is walked and ranked in `linalg`'s row format for p (`pack_word`):
-at 3 <= p <= 13 the m image columns of a word are one integer of m * m
-byte lanes, so a walk step is one integer add and one `bytes.translate`,
-and the rank is a lane elimination on that integer's m rows; at p = 2 and
-p >= 17 a word is its list of m column codes.
+A word is walked and ranked as its n x n Gram matrix over F_{q^2}, the
+rank the paper defines: at q <= 16 each entry is a byte index into F_{q^2}
+(`linalg.gram_word`), so a walk step is one table lookup per entry and the
+rank an elimination of n byte rows (`gram_rank`).  Above q = 16 a word is
+its list of m = 2ne image columns, ranked by their F_p-nullity.
 Dual inner distributions come from two independent routes that must agree:
 enumeration of the dual code, and the eigenvalue transform
 A'_k = sum_i Q_k(i) A_i of the enumerated code.  `eigenvalues` computes Q
@@ -39,8 +39,9 @@ from typing import NamedTuple, Optional, Sequence
 from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
                         hermitian_matrix_basis)
-from .linalg import (PackedMap, line_walk, pack_word, rank_subfield_matrix, row_key,
-                     span_walk, vector_add, word_add, word_nullity)
+from .linalg import (PackedMap, gram_add, gram_operand, gram_rank, gram_word, line_walk,
+                     nullity_of_code_columns, q2_tables, rank_subfield_matrix, row_key,
+                     span_walk, vector_add)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -63,21 +64,30 @@ def inner_distribution(code: HermCode, threads: int = 1) -> tuple[int, ...]:
     have the same rank, so one word per F_p^*-line is ranked (`line_walk`):
     the zero word with weight 1 and each later word with weight p - 1.  The
     generators are F_p-independent, so the lines cover each nonzero word
-    exactly once.  Each generator's image columns are packed once by
-    `pack_word`; at 3 <= p <= 13 that is one integer of m * m byte lanes,
-    on which the walk adds and `word_nullity` eliminates directly.
+    exactly once.  A word is its n x n Gram matrix, which is F_p-linear in
+    the polynomial: at q <= 16 the walk adds the generators' matrices
+    (`HermCode.generator_forms`) as byte words and `gram_rank` eliminates
+    them over F_{q^2}; above that it adds their image columns and ranks the
+    F_p-nullity of each (`nullity_of_code_columns`).
 
     `threads` is ignored; it is accepted only because the perfbench layer
     probe still passes `threads=2`.
     """
     t = code.tower
     n = t.n
-    ee = 2 * t.e
+    tables = q2_tables(t)
+    if tables is None:
+        gens = [g.image_columns() for g in code.generators]
+        words = line_walk(t.p, gens, [0] * t.m, vector_add(t))
+        ranks = (n - nullity_of_code_columns(t, w) // (2 * t.e) for w in words)
+    else:
+        gens = [gram_operand(tables, gram_word(tables, g)) for g in code.generator_forms()]
+        words = line_walk(t.p, gens, bytes(n * n), gram_add)
+        ranks = (gram_rank(tables, w, n) for w in words)
     hist = [0] * (n + 1)
     weight = 1
-    gens = [pack_word(t, g.image_columns()) for g in code.generators]
-    for word in line_walk(t.p, gens, pack_word(t, [0] * t.m), word_add(t)):
-        hist[n - word_nullity(t, word) // ee] += weight
+    for rank in ranks:
+        hist[rank] += weight
         weight = t.p - 1
     return tuple(hist)
 
@@ -541,7 +551,7 @@ def _restricted_spans(code: HermCode, subspaces, probes):
     coords = _q2_coordinates(tower)
     pairs = [(j, k) for j in range(n) for k in range(j, n)]
     basis = [(b, tower.frobenius(b, 1)) for b in tower.basis_over_prime(2)]
-    grams = [form_matrix(g) for g in code.generators]
+    grams = code.generator_forms()
     cols = [[coords[mul(g[j][j], b) if j == k else add(mul(g[j][k], b), mul(g[k][j], cb))]
              for g in grams]
             for j, k in pairs for b, cb in basis]

@@ -1,13 +1,14 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from hermcodes import make_tower
-from hermcodes.linalg import (FpSpan, PackedMap, line_walk, nullity_of_code_columns,
-                             nullspace_mod_p, nullspace_of_columns, rank_mod_p, row_key,
-                             rref_mod_p, residues_mod_span, solve_mod_p, span_walk,
-                             vector_add)
+from hermcodes.linalg import (FpSpan, PackedMap, gram_rank, gram_word, line_walk,
+                             nullity_of_code_columns, nullspace_mod_p, nullspace_of_columns,
+                             q2_tables, rank_mod_p, rank_subfield_matrix, row_key, rref_mod_p,
+                             residues_mod_span, solve_mod_p, span_walk, vector_add)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -346,3 +347,57 @@ def test_nullity_matches_oracle_rank_of_digit_matrix(p, e, n):
             cols[k] = 0 if rng.random() < 0.3 else t.add(cols[i], cols[j])
         digit_matrix = [[t.digits(c)[r] for c in cols] for r in range(t.m)]
         assert nullity_of_code_columns(t, cols) == t.m - len(_oracle_rref(digit_matrix, p)[0])
+
+
+# every field F_q with q <= 16, the fields of the Gram route: (p, e)
+Q2_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("p, e", Q2_FIELDS)
+def test_q2_tables_match_the_tower(p, e):
+    t = make_tower(p, e, 2)
+    tables = q2_tables(t)
+    assert q2_tables(t) is tables  # kept in tower.cache
+    elems = t.subfield_elements(2)
+    assert sorted(tables.index) == elems
+    assert sorted(tables.index.values()) == list(range(len(elems)))
+    assert tables.index[0] == 0 and tables.index[1] == 1
+    assert tables.index[t.subfield_generator(2)] == 2
+    rng = random.Random(50 * p + e)
+    for _ in range(300):
+        a, b, f = (rng.choice(elems) for _ in range(3))
+        g = rng.choice(elems[1:])
+        idx = tables.index
+        assert tables.add[idx[a]][idx[b]] == idx[t.add(a, b)]
+        assert tables.clear[idx[g]][idx[f]][idx[b]] == idx[t.mul(t.neg(t.mul(f, t.inv(g))), b)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p, e", Q2_FIELDS)
+def test_gram_rank_matches_tower_elimination_at_every_rank(p, e, n):
+    # products of n x r and r x n matrices, kept once the oracle gives rank
+    # r, so every rank 0..n is met; plus a few unconstrained matrices
+    t = make_tower(p, e, n)
+    tables = q2_tables(t)
+    elems = t.subfield_elements(2)
+    rng = random.Random(1000 * p + 10 * e + n)
+
+    def product(r):
+        a = [[rng.choice(elems) for _ in range(r)] for _ in range(n)]
+        b = [[rng.choice(elems) for _ in range(n)] for _ in range(r)]
+        return [[functools.reduce(t.add, (t.mul(a[i][k], b[k][j]) for k in range(r)), 0)
+                 for j in range(n)] for i in range(n)]
+
+    for r in range(n + 1):
+        met = 0
+        for _ in range(200):
+            rows = product(r)
+            oracle = rank_subfield_matrix(t, rows)
+            assert gram_rank(tables, gram_word(tables, rows), n) == oracle
+            met += oracle == r
+            if met == 3:
+                break
+        assert met == 3, r
+    for _ in range(10):
+        rows = [[rng.choice(elems) for _ in range(n)] for _ in range(n)]
+        assert gram_rank(tables, gram_word(tables, rows), n) == rank_subfield_matrix(t, rows)

@@ -18,8 +18,8 @@ from hermcodes.scheme import (DEFAULT_BUDGET, BudgetExceededError, ConsistencyEr
                               full_rank_residue, max_code_size)
 from hermcodes.hermitian import (dual_code, form_matrix, matrix_code_rank_distribution,
                                  matrix_span)
-from hermcodes.linalg import (FpSpan, nullity_of_code_columns, rank_subfield_matrix, span_walk,
-                              vector_add, word_nullity)
+from hermcodes.linalg import (FpSpan, gram_rank, nullity_of_code_columns, q2_tables,
+                              rank_subfield_matrix, span_walk, vector_add)
 
 
 # -- character sums ----------------------------------------------------------------
@@ -152,14 +152,18 @@ def _full_walk_tally(code):
 
 
 @pytest.mark.parametrize("p, e, n", [(2, 1, 3), (3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2),
-                                     (3, 2, 2), (13, 1, 2), (11, 1, 2), (3, 2, 3)])
+                                     (3, 2, 2), (13, 1, 2), (11, 1, 2), (3, 2, 3), (2, 2, 3),
+                                     (2, 3, 2), (2, 4, 2), (5, 2, 2), (17, 1, 2), (5, 2, 1)])
 def test_line_walk_inner_distribution_matches_full_walk_and_matrix_model(p, e, n):
     # one word per F_p^*-line, weighted p - 1, against the full walk and
-    # against the matrix-model rank of every word
+    # against the matrix-model rank of every word; q = 16 is the largest
+    # field of the Gram route, and q = 25, 17 take the generic one
     t = make_tower(p, e, n)
     basis = hermitian_basis(t)
     rng = random.Random(1000 * p + 10 * e + n)
-    for dim in range(5):
+    for dim in range(min(5, len(basis) + 1)):
+        if p ** dim > 30_000:  # 17^4 words take seconds in the oracles
+            break
         gens = rng.sample(basis, dim)
         code = HermCode(t, gens, label=f"random-{dim}")
         hist = inner_distribution(code)
@@ -181,13 +185,35 @@ def test_inner_distribution_ranks_one_word_per_line(monkeypatch, params, calls):
     code = build(params)
     count = [0]
 
-    def counting(tower, word):
+    def counting(tables, word, n):
         count[0] += 1
-        return word_nullity(tower, word)
+        return gram_rank(tables, word, n)
 
-    monkeypatch.setattr(scheme, "word_nullity", counting)
+    monkeypatch.setattr(scheme, "gram_rank", counting)
     assert sum(inner_distribution(code)) == code.size
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("p, e, n, generic", [(2, 1, 3, False), (3, 2, 2, False),
+                                              (13, 1, 2, False), (2, 4, 2, False),
+                                              (17, 1, 2, True), (5, 2, 1, True),
+                                              (3, 3, 1, True)])
+def test_inner_distribution_takes_the_gram_route_up_to_q16(monkeypatch, p, e, n, generic):
+    # at q <= 16 no word is ranked by its F_p-nullity; above, where an index
+    # into F_{q^2} outgrows a byte and there are no tables, every one is
+    t = make_tower(p, e, n)
+    assert (q2_tables(t) is None) == generic
+    code = HermCode(t, random.Random(p + e + n).sample(hermitian_basis(t), 2))
+    count = [0]
+
+    def counting(tower, columns):
+        count[0] += 1
+        return nullity_of_code_columns(tower, columns)
+
+    monkeypatch.setattr(scheme, "nullity_of_code_columns", counting)
+    inner_distribution(code)
+    assert count[0] == (1 + (p * p - 1) // (p - 1) if generic else 0)
+
 
 def test_inner_distribution_full_space(tower_q2):
     # the histogram of the whole space equals the matrix-model tally
