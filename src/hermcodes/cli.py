@@ -223,14 +223,16 @@ def _check_dual(code: HermCode, d: int, budget: int):
 
 def _check_designs(code: HermCode, d: int, budget: int):
     n = code.n
+    # extension_uniform tests its budget before it lists a subspace; asked
+    # first, it refuses an over-budget code before the strength walks C or C-perp
+    uniform = scheme.extension_uniform(code, 1, budget)
     strength = scheme.design_strength(code, budget)
-    ext = scheme.design_by_extension_count(code, 1, budget=budget, method="span")
     if code.declared_d is not None and code.declared_d % 2 == 1 \
             and code.size == scheme.max_code_size(code.tower.q, n, d) \
             and strength < n - d + 1:
         return "fail", {"strength": strength, "required_at_least": n - d + 1}
-    verdict = "pass" if ext.uniform == (strength >= 1) else "fail"
-    return verdict, {"strength": strength, "extension_uniform": ext.uniform}
+    verdict = "pass" if uniform == (strength >= 1) else "fail"
+    return verdict, {"strength": strength, "extension_uniform": uniform}
 
 
 def _check_kernel(code: HermCode, d: int, budget: int):

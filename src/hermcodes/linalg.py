@@ -19,7 +19,8 @@ columns of its matrix, each tagged with an identity entry, so that a column
 reducing to zero is a basis vector as it stands (`nullspace_of_columns`).
 
 `PackedMap` packs the columns of an F_p-linear map once, so that each
-image is a few multiply-adds of whole packed rows.
+image is a few multiply-adds of whole packed rows, returned as an `FpSpan`
+whose dimension and membership a caller reads.
 
 `span_walk` is the one odometer over F_p-combinations of generator states,
 in any format with an `add`: lists of element codes (`vector_add`) or the
@@ -277,25 +278,6 @@ class FpSpan:
         dim = self.dim
         _echelon([_pack(vec, self.p)], self.p, self.ncols, self.basis)
         return self.dim > dim
-
-    def members(self) -> Iterable:
-        """Every vector of the span once, as `row_key` gives it, p^dim in all."""
-        p, width = self.p, self.ncols
-        if p == 2:
-            return span_walk(p, list(self.basis.values()), 0, int.__xor__)
-        if p in _LANES:
-            return span_walk(p, [row for row, _ in self.basis.values()], 0,
-                             lambda a, b: _mod_lanes(a + b, width, p))
-        rows = [[0] * pc + row for pc, row in self.basis.items()]
-        return map(tuple, span_walk(p, rows, [0] * width,
-                                    lambda a, b: [(x + y) % p for x, y in zip(a, b)]))
-
-
-def row_key(vec: Sequence[int], p: int):
-    """A vector over F_p as `FpSpan.members` yields it: hashable, and equal
-    iff the vectors are equal mod p."""
-    row = _pack(vec, p)
-    return tuple(row) if isinstance(row, list) else row
 
 
 class PackedMap:

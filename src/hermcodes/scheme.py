@@ -40,8 +40,8 @@ from .gf import FieldTower
 from .hermitian import (HermCode, HermMatrix, dual_code, form_matrix,
                         hermitian_matrix_basis)
 from .linalg import (PackedMap, gram_add, gram_operand, gram_rank, gram_word, line_walk,
-                     nullity_of_code_columns, q2_tables, rank_subfield_matrix, row_key,
-                     span_walk, vector_add)
+                     nullity_of_code_columns, q2_tables, rank_subfield_matrix, span_walk,
+                     vector_add)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -320,25 +320,31 @@ def design_strength(code: HermCode, budget: int = DEFAULT_BUDGET) -> int:
 # -- negative q-binomials and the closed forms --------------------------------------
 
 
-def neg_q_binom(m: int, l: int, q: int) -> int:
-    """Gaussian binomial evaluated at -q; exact integer.
+def gaussian_binom(m: int, l: int, b: int) -> int:
+    """Gaussian binomial [m, l]_b at an integer base b with |b| >= 2; exact
+    integer.  At b = q^2 it counts the l-subspaces of F_{q^2}^m.
 
     l > m returns 0 by the empty-Gaussian convention so closed-form sums
     need no boundary branches.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
     if l < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
     if l > m:
         return 0
     num = den = 1
     for i in range(1, l + 1):
-        num *= (-q) ** (m - i + 1) - 1
-        den *= (-q) ** i - 1
+        num *= b ** (m - i + 1) - 1
+        den *= b ** i - 1
     if num % den:
-        raise AssertionError(f"negative q-binomial ({m},{l}) at q={q} not integral")
+        raise AssertionError(f"Gaussian binomial ({m},{l}) at base {b} not integral")
     return num // den
+
+
+def neg_q_binom(m: int, l: int, q: int) -> int:
+    """Gaussian binomial evaluated at -q; exact integer (`gaussian_binom`)."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    return gaussian_binom(m, l, -q)
 
 
 @functools.cache
@@ -438,6 +444,19 @@ class ExtensionCountReport(NamedTuple):
     witnesses: list
 
 
+def _charged_subspaces(tower: FieldTower, t: int, per_subspace: int,
+                       budget: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The t-subspaces of F_{q^2}^n (`_subspace_representatives`), listed
+    only once per_subspace x [n, t]_{q^2} restrictions fit the budget."""
+    if t < 1 or t > tower.n:
+        raise ValueError(f"t must be in 1..{tower.n}")
+    count = gaussian_binom(tower.n, t, tower.q ** 2)
+    if per_subspace * count > budget:
+        raise BudgetExceededError(
+            f"{per_subspace} x {count} subspace restrictions exceed budget {budget}")
+    return _subspace_representatives(tower, t)
+
+
 def _subspace_representatives(tower: FieldTower, t: int) -> list[tuple[tuple[int, ...], ...]]:
     """Canonical RREF bases of all t-dimensional subspaces of F_{q^2}^n."""
     n = tower.n
@@ -516,23 +535,6 @@ def _probes(tower: FieldTower, t: int) -> list[tuple[int, ...]]:
                     for a, b in itertools.combinations(range(t), 2) for lam in (1, w)]
 
 
-def _probe_coordinates(tower: FieldTower, h, probes) -> list[int]:
-    """The coordinates of x H conj(x)^T at each probe x, concatenated, for a
-    t x t form H flattened row-major: H as the images of `_restricted_spans`
-    give it."""
-    coords, t = _q2_coordinates(tower), len(probes[0])
-    out = []
-    for x in probes:
-        conj = [tower.frobenius(c, 1) for c in x]
-        acc = 0
-        for a, xa in enumerate(x):
-            for b, cb in enumerate(conj):
-                if xa and cb and h[a * t + b]:
-                    acc = tower.add(acc, tower.mul(tower.mul(xa, h[a * t + b]), cb))
-        out += coords[acc]
-    return out
-
-
 def _restricted_spans(code: HermCode, subspaces, probes):
     """Yield, for each subspace U in order, U and the F_p-span of the
     generators' Gram forms restricted to U, each restriction given by its
@@ -543,9 +545,9 @@ def _restricted_spans(code: HermCode, subspaces, probes):
     w_jk.  One `PackedMap` per code holds that map: column (j, k, d), j <= k,
     is G_jj b_d, or G_jk b_d + G_kj b_d^q, for every generator, b_d running
     over the F_p-basis of F_{q^2}.  Each U then costs the products w_jk and
-    one image, whatever dim(C).  A reducer reads each span whole: the
-    extension count its members, a count that needs only its dimension
-    (the radical count of ROADMAP item 15) its dim."""
+    one image, whatever dim(C).  A reducer reads only each span's dimension:
+    `extension_uniform` compares it with t^2 e, the F_p-dimension of the
+    t x t Hermitian forms."""
     tower = code.tower
     n, p, mul, add = tower.n, tower.p, tower.mul, tower.add
     coords = _q2_coordinates(tower)
@@ -569,51 +571,42 @@ def _restricted_spans(code: HermCode, subspaces, probes):
         yield u, fmap.image(coeffs)
 
 
-def design_by_extension_count(code: HermCode, t: int, budget: int = DEFAULT_BUDGET,
-                              method: str = "enumerate") -> ExtensionCountReport:
+def extension_uniform(code: HermCode, t: int, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether all extension counts of `design_by_extension_count` coincide,
+    that is, whether the code is a t-design, read from the generators alone.
+
+    The restriction to U is F_p-linear, so each count is the fibre
+    p^(dim C - dim image) for a form in the image and 0 for any other form:
+    the counts coincide iff every image (`_restricted_spans`) is the whole
+    t^2 e-dimensional F_p-space of t x t Hermitian forms.  The walk stops at
+    the first image that falls short.  Charged dim(C) x [n, t]_{q^2}
+    restrictions, before any subspace is listed.
+    """
+    tower = code.tower
+    subspaces = _charged_subspaces(tower, t, code.dim, budget)
+    full = t * t * tower.e
+    return all(image.dim == full
+               for _, image in _restricted_spans(code, subspaces, _probes(tower, t)))
+
+
+def design_by_extension_count(code: HermCode, t: int,
+                              budget: int = DEFAULT_BUDGET) -> ExtensionCountReport:
     """For every t-subspace U and Hermitian form H on U, count codewords whose
     Gram form restricted to U (in the canonical basis of U) equals H.
 
-    The code is a t-design iff all counts coincide.
-
-    The restriction f -> (Gram form of f on U) is F_p-linear, so on the
-    F_p-span C of the generators each count is |C| / |image| for a form in
-    the image (the F_p-span of the generators' restrictions) and 0 for any
-    other form.  `method="span"` computes the counts that way: one packed
-    F_p-linear map per code restricts every generator to U at once
-    (`_restricted_spans`), and a walk of the image span, never larger than
-    the list of forms, marks the forms it holds.  `method="enumerate"` (the
-    default, and the oracle) restricts every codeword.  Each is charged its
-    own restrictions: dim(C) x subspaces for "span", |C| x subspaces for
-    "enumerate".
+    The code is a t-design iff all counts coincide.  Every codeword is
+    restricted to every subspace, so this is the oracle of
+    `extension_uniform`, charged |C| x [n, t]_{q^2} restrictions before any
+    subspace is listed.
     """
     tower = code.tower
-    if t < 1 or t > tower.n:
-        raise ValueError(f"t must be in 1..{tower.n}")
-    if method not in ("span", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
-    subspaces = _subspace_representatives(tower, t)
-    per_subspace = code.dim if method == "span" else code.size
-    if per_subspace * len(subspaces) > budget:
-        raise BudgetExceededError(
-            f"{per_subspace} x {len(subspaces)} subspace restrictions exceed budget {budget}")
+    subspaces = _charged_subspaces(tower, t, code.size, budget)
     forms = _hermitian_forms(tower, t)
-    if method == "span":
-        p = tower.p
-        probes = _probes(tower, t)
-        form_of = {row_key(_probe_coordinates(tower, h, probes), p): h for h in forms}
-        counts = {}
-        for u, image in _restricted_spans(code, subspaces, probes):
-            held = {form_of[key] for key in image.members()}
-            fibre = p ** (code.dim - image.dim)
-            for h in forms:
-                counts[(u, h)] = fibre if h in held else 0
-    else:
-        counts = {(u, h): 0 for u in subspaces for h in forms}
-        for f in code.iter_span():
-            gram = form_matrix(f)
-            for u in subspaces:
-                counts[(u, _restrict(tower, u, gram))] += 1
+    counts = {(u, h): 0 for u in subspaces for h in forms}
+    for f in code.iter_span():
+        gram = form_matrix(f)
+        for u in subspaces:
+            counts[(u, _restrict(tower, u, gram))] += 1
     values = set(counts.values())
     uniform = len(values) == 1
     witnesses = []

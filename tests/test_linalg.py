@@ -7,7 +7,7 @@ import pytest
 from hermcodes import make_tower
 from hermcodes.linalg import (FpSpan, PackedMap, gram_rank, gram_word, line_walk,
                              nullity_of_code_columns, nullspace_mod_p, nullspace_of_columns,
-                             q2_tables, rank_mod_p, rank_subfield_matrix, row_key, rref_mod_p,
+                             q2_tables, rank_mod_p, rank_subfield_matrix, rref_mod_p,
                              residues_mod_span, solve_mod_p, span_walk, vector_add)
 
 
@@ -303,12 +303,6 @@ def test_fp_span_matches_oracle_ranks(p):
         assert span.dim == len(_oracle_rref(rows, p)[0])
 
 
-def _oracle_span(rows, width, p):
-    """Every combination of the rows, as `row_key` gives it."""
-    return {row_key([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(width)], p)
-            for cs in itertools.product(range(p), repeat=len(rows))}
-
-
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
 def test_packed_map_images_match_their_combinations(p):
     # block b of row r is sum_i coeffs[b][i] * cols[i][r]; the all-(p-1) case
@@ -328,9 +322,6 @@ def test_packed_map_images_match_their_combinations(p):
                        for cs in coeffs for j in range(width)] for r in range(rows)]
             span = PackedMap(cols, p, width, blocks).image(coeffs)
             assert span.dim == (rank_mod_p(images, p) if rows else 0)
-            members = list(span.members())
-            assert len(members) == p ** span.dim
-            assert set(members) == _oracle_span(images, width * blocks, p)
             assert all(span.contains(v) for v in images)
 
 

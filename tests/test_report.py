@@ -1,7 +1,7 @@
-"""scripts/reproduce_report.py on its q = 2 instances, the kernel and
-idealiser checks on all its instances, and the CLI outputs that F_p
-elimination feeds (stats ranks, the dual code's basis), against the
-recorded outputs in perfbench/golden/outputs.json."""
+"""scripts/reproduce_report.py on its q = 2 instances, the kernel,
+idealiser and designs checks on all its instances, and the CLI outputs
+that F_p elimination feeds (stats ranks, the dual code's basis), against
+the recorded outputs in perfbench/golden/outputs.json."""
 
 import json
 import sys
@@ -44,17 +44,20 @@ def test_q2_report_matches_golden_outputs(tmp_path, monkeypatch):
 
 
 def test_kernel_and_idealiser_reports_match_golden_outputs():
-    # every report instance, q = 3 and q = 5 included, through the check runner
+    # every report instance, q = 3 and q = 5 included, through the check
+    # runner; `designs` wherever the goldens record it (q <= 3)
     golden = _golden("report")
     seen = 0
     for params in reproduce_report.INSTANCES:
         code = build(params)
-        for check in ("kernel", "idealisers"):
+        for check in ("kernel", "idealisers", "designs"):
             name = f"{code.label}/{check}"
+            if check == "designs" and name not in golden:
+                continue
             report = _run_check(check, code, DEFAULT_BUDGET).to_json(False)
             assert golden[name]["report"] == report, name
             seen += 1
-    assert seen == 16
+    assert seen == 23
 
 
 @pytest.mark.parametrize("workload, name", [("stats-char2", "H-q4-n3"),

@@ -409,39 +409,83 @@ def test_extension_count_t2_on_small_space(tower_q2_n2):
 
 
 def test_extension_count_budget(tower_q3):
-    with pytest.raises(BudgetExceededError):
-        design_by_extension_count(full_space(tower_q3), 1, budget=100)
-    with pytest.raises(BudgetExceededError):
-        design_by_extension_count(full_space(tower_q3), 1, budget=100, method="span")
+    # enumeration is charged |C| = 19683 and the dimension reducer dim(C) = 9
+    # restrictions per subspace, 91 subspaces in all
+    code = full_space(tower_q3)
+    with pytest.raises(BudgetExceededError, match="19683 x 91 "):
+        design_by_extension_count(code, 1, budget=100)
+    with pytest.raises(BudgetExceededError, match="9 x 91 "):
+        scheme.extension_uniform(code, 1, budget=100)
+    assert scheme.extension_uniform(code, 1, budget=9 * 91)
+
+
+def test_extension_count_refuses_before_listing_a_subspace(monkeypatch):
+    # Htilde(7,1) at q=3 needs 42 x [7, 1]_9 = 42 x 597871 restrictions; the
+    # refusal must come from the Gaussian binomial, not from the listing
+    code = build(ConstructionParams(family="Htilde", q=3, n=7, s=1))
+
+    def never(tower, t):
+        raise AssertionError("subspaces listed before the budget test")
+
+    monkeypatch.setattr(scheme, "_subspace_representatives", never)
+    message = "42 x 597871 subspace restrictions exceed budget 1000000"
+    with pytest.raises(BudgetExceededError, match=message):
+        scheme.extension_uniform(code, 1)
+    with pytest.raises(BudgetExceededError, match=f"{code.size} x 597871 "):
+        design_by_extension_count(code, 1)
+    report = _run_check("designs", code, DEFAULT_BUDGET)
+    assert (report.verdict, report.witness) == ("inconclusive", {"reason": message})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subspace_count_is_the_gaussian_binomial(q):
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    for n in (2, 3, 4):
+        tower = make_tower(p, e, n)
+        for t in range(1, n + 1):
+            reps = scheme._subspace_representatives(tower, t)
+            assert len(reps) == len(set(reps)) == scheme.gaussian_binom(n, t, q * q), (n, t)
 
 
 def test_extension_count_span_route_is_charged_per_generator():
-    # the span route restricts dim(C) generators per subspace, so `designs`
-    # fits the default budget where |C| x subspaces (10^7 and 10^6) does not
+    # the dimension reducer restricts dim(C) generators per subspace, so
+    # `designs` fits the default budget where |C| x subspaces (10^7 and 10^6)
+    # does not; the generator oracle stands in for enumeration
     for params in (ConstructionParams(family="Htilde", q=5, n=3, s=1),
                    ConstructionParams(family="H", q=4, n=3, d=2, s=1)):
         code = build(params)
         with pytest.raises(BudgetExceededError):
-            design_by_extension_count(code, 1, method="enumerate")
+            design_by_extension_count(code, 1)
+        assert scheme.extension_uniform(code, 1)
+        assert len(set(_span_counts_by_generator(code, 1).values())) == 1, code.label
         report = _run_check("designs", code, DEFAULT_BUDGET)
         assert (report.verdict, report.witness) == \
             ("pass", {"strength": 2, "extension_uniform": True}), code.label
 
 
+def _assert_uniform_matches_enumeration(code, t):
+    """`extension_uniform` against the enumerated counts; a uniform count is
+    the fibre p^(dim C - t^2 e) of a restriction onto every form."""
+    slow = design_by_extension_count(code, t)
+    assert scheme.extension_uniform(code, t) == slow.uniform, (code.label, t)
+    if slow.uniform:
+        tower = code.tower
+        assert slow.common_count == tower.p ** (code.dim - t * t * tower.e), (code.label, t)
+    return slow
+
+
 def test_extension_counts_span_route_matches_enumeration(tower_q2, tower_q3, tower_q2_n2):
-    # the span route counts from the generators; enumeration restricts
-    # every word.  Counts, their order, uniformity and witnesses must agree.
+    # the dimension reducer reads the generators; enumeration restricts
+    # every word, and the generator oracle spans each restriction
     cases = [(code, 1) for code in codes_under_test(tower_q2)]
     cases += [(full_space(tower_q2_n2), 1),
               (full_space(tower_q2_n2), 2), (build_H(tower_q2, 2, 1), 2),
               (build_H(tower_q2, 2, 1), 3), (build_E(tower_q3, 3, 1), 1),
               (dual_code(build_E(tower_q3, 3, 1)), 1)]
     for code, t in cases:
-        fast = design_by_extension_count(code, t, method="span")
-        slow = design_by_extension_count(code, t, method="enumerate")
-        assert list(fast.counts.items()) == list(slow.counts.items()), (code.label, t)
-        assert (fast.uniform, fast.common_count, fast.witnesses) == \
-            (slow.uniform, slow.common_count, slow.witnesses), (code.label, t)
+        slow = _assert_uniform_matches_enumeration(code, t)
+        assert list(_span_counts_by_generator(code, t).items()) == list(slow.counts.items()), \
+            (code.label, t)
 
 
 def _span_counts_by_generator(code, t):
@@ -487,19 +531,17 @@ def _generator_oracle_cases():
 @pytest.mark.parametrize("builder, t", _generator_oracle_cases())
 def test_extension_counts_span_route_matches_the_generator_oracle(builder, t):
     code = builder()
-    rep = design_by_extension_count(code, t, method="span")
     expected = _span_counts_by_generator(code, t)
-    assert list(rep.counts.items()) == list(expected.items()), (code.label, t)
+    values = set(expected.values())
+    assert scheme.extension_uniform(code, t) == (len(values) == 1), (code.label, t)
     # and the enumeration, on the cases small enough to walk quickly
     if code.size * len(scheme._subspace_representatives(code.tower, t)) <= 30_000:
-        slow = design_by_extension_count(code, t, method="enumerate")
+        slow = _assert_uniform_matches_enumeration(code, t)
         assert list(slow.counts.items()) == list(expected.items()), (code.label, t)
-    values = set(expected.values())
-    assert rep.uniform == (len(values) == 1)
-    assert rep.common_count == (values.pop() if rep.uniform else None)
-    if not rep.uniform:
-        assert len(rep.witnesses) == 2
-        assert all(expected[(w["subspace"], w["form"])] == w["count"] for w in rep.witnesses)
+        if not slow.uniform:
+            assert len(slow.witnesses) == 2
+            assert all(expected[(w["subspace"], w["form"])] == w["count"]
+                       for w in slow.witnesses)
 
 
 @pytest.mark.parametrize("tower_name", ["tower_q2", "tower_q3"])
@@ -508,14 +550,25 @@ def test_extension_counts_of_the_zero_code(tower_name, request):
     tower = request.getfixturevalue(tower_name)
     zero = HermCode(tower, [], label="zero")
     for t in (1, tower.n):
-        rep = design_by_extension_count(zero, t, method="span")
-        assert list(rep.counts.items()) == \
-            list(_span_counts_by_generator(zero, t).items()) == \
-            list(design_by_extension_count(zero, t, method="enumerate").counts.items())
+        rep = design_by_extension_count(zero, t)
+        assert list(rep.counts.items()) == list(_span_counts_by_generator(zero, t).items())
         assert all(v == (0 if any(h) else 1) for (_, h), v in rep.counts.items())
         assert not rep.uniform
+        assert not scheme.extension_uniform(zero, t)
 
 
-def test_extension_count_rejects_unknown_method(tower_q2):
-    with pytest.raises(ValueError, match="unknown method"):
-        design_by_extension_count(full_space(tower_q2), 1, method="walk")
+def _h2_subcodes():
+    """A prime p in {2, 3, 5}, t in {1, 2}, and the indices of a subset of
+    the generators of the full 2 x 2 Hermitian space over F_{p^2}."""
+    return st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]),
+                     st.sets(st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_h2_subcodes())
+def test_extension_uniform_matches_enumeration_on_h2_subcodes(case):
+    p, t, keep = case
+    full = full_space(make_tower(p, 1, 2))
+    code = HermCode(full.tower, [g for i, g in enumerate(full.generators) if i in keep],
+                    label=f"H2(p={p}) generators {sorted(keep)}")
+    assert scheme.extension_uniform(code, t) == design_by_extension_count(code, t).uniform
