@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .gf import FieldTower, make_tower
-from .linalg import (FpSpan, nullspace_mod_p, rank_subfield_matrix, solve_mod_p,
+from .linalg import (FpSpan, nullspace_mod_p, nullspace_of_columns, rank_subfield_matrix,
                      span_walk, vector_add)
 from .linpoly import LinPoly
 
@@ -182,26 +182,33 @@ def gram_matrix(f: LinPoly) -> HermMatrix:
 
 
 def _gram_solver(tower: FieldTower):
-    """Cached RREF data inverting the polynomial -> Gram matrix map."""
+    """The Hermitian basis and the F_p digit columns of its Gram matrices,
+    kept in tower.cache: the columns of the map that `poly_from_gram` inverts."""
     key = "gram_solver"
     if key not in tower.cache:
         basis = hermitian_basis(tower)
         cols = [tower.digit_vector(gram_matrix(h).entry_vector()) for h in basis]
-        rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-        tower.cache[key] = (basis, rows)
+        tower.cache[key] = (basis, cols)
     return tower.cache[key]
 
 
 def poly_from_gram(tower: FieldTower, mat: HermMatrix) -> LinPoly:
-    """Inverse of gram_matrix: the Hermitian polynomial with the given Gram matrix."""
-    basis, rows = _gram_solver(tower)
-    sol = solve_mod_p(rows, tower.digit_vector(mat.entry_vector()), tower.p)
-    if sol is None:
+    """Inverse of gram_matrix: the Hermitian polynomial with the given Gram matrix.
+
+    The basis's Gram columns are independent, so with the matrix's digits
+    appended as a last column they have a null vector iff the matrix is in
+    their span, and it is then 1 at that column and minus the coordinates
+    at the others."""
+    basis, cols = _gram_solver(tower)
+    p = tower.p
+    null = nullspace_of_columns(cols + [tower.digit_vector(mat.entry_vector())],
+                                len(cols[0]), p)
+    if not null:
         raise ValueError("matrix is not in the image of the Hermitian space")
     f = LinPoly.zero(tower)
-    for x, h in zip(sol, basis):
+    for x, h in zip(null[0], basis):
         if x:
-            f = f + h.scale(x)
+            f = f + h.scale(p - x)
     if gram_matrix(f) != mat:
         raise AssertionError("Gram inversion failed to round-trip")
     return f
@@ -262,7 +269,7 @@ class HermCode:
     @property
     def matrix_generators(self) -> tuple[HermMatrix, ...]:
         """The generators' Gram matrices, the generators of the matrix model."""
-        return tuple(gram_matrix(f) for f in self.generators)
+        return tuple(HermMatrix(self.tower, rows) for rows in self.generator_forms())
 
     def contains(self, f: LinPoly) -> bool:
         return self.span.contains(poly_vector(f))

@@ -13,10 +13,14 @@ row format is picked from p:
   from p = 17 on;
 * p >= 17: a row is a list of residues.
 
-Reduced forms are built from that basis and are unique, so identical inputs
-give identical outputs, in every format.  A null space is solved from the
-columns of its matrix, each tagged with an identity entry, so that a column
-reducing to zero is a basis vector as it stands (`nullspace_of_columns`).
+Ranks, null spaces, pivot columns, residues modulo a row space
+(`residues_mod_span`) and `FpSpan` all read that basis, and nothing
+back-substitutes.  Each answer is unique (the pivot set is that of every
+echelon basis of the rows), so identical inputs give identical outputs, in
+every format.  A null space is solved from the columns of its matrix, each
+tagged with an identity entry, so that a column reducing to zero is a basis
+vector as it stands (`nullspace_of_columns`); a solve M x = b is the null
+space of M with b appended as a last column.
 
 `PackedMap` packs the columns of an F_p-linear map once, so that each
 image is a few multiply-adds of whole packed rows, returned as an `FpSpan`
@@ -133,43 +137,6 @@ def _pack(vec: Sequence[int], p: int):
     return [a % p for a in vec]
 
 
-def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p. Returns (nonzero rows, pivot cols)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    basis = _echelon([_pack(r, p) for r in rows], p, ncols)
-    keys = sorted(basis)
-    # back-substitute from the last pivot; each row is zero left of its pivot
-    if p == 2:
-        red = [basis[k] for k in keys]
-        for i in reversed(range(len(red))):
-            for j in range(i):
-                if red[j] & keys[i]:
-                    red[j] ^= red[i]
-        return ([[r >> c & 1 for c in range(ncols)] for r in red],
-                [k.bit_length() - 1 for k in keys])
-    if p in _LANES:
-        # normalise each row to 1 at its pivot: c[g][1] = -1/g
-        red = [_mod_lanes(row * (p - c[1]), ncols, p) for row, c in map(basis.get, keys)]
-        for i in reversed(range(len(red))):
-            shift = 8 * keys[i]
-            for j in range(i):
-                f = red[j] >> shift & 255
-                if f:
-                    red[j] = _mod_lanes(red[j] + (p - f) * red[i], ncols, p)
-        return [list(r.to_bytes(ncols, "little")) for r in red], keys
-    red = [[0] * pc + basis[pc] for pc in keys]
-    for i in reversed(range(len(red))):
-        pc = keys[i]
-        tail = red[i][pc:]
-        for row in red[:i]:
-            f = row[pc]
-            if f:
-                row[pc:] = [(a - f * b) % p for a, b in zip(row[pc:], tail)]
-    return red, keys
-
-
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p."""
     return len(_echelon([_pack(r, p) for r in rows], p, len(rows[0]) if rows else 0))
@@ -216,8 +183,10 @@ def residues_mod_span(rows: Sequence[Sequence[int]], vecs: Iterable[Sequence[int
     """The coordinates of each vector modulo the row space, an F_p-linear map
     whose kernel is the row space: its entries at the free columns once the
     rows clear its pivot columns.  Pivot columns go first, so `_echelon`
-    clears them first, and a 1 appended to each vector keeps it nonzero."""
-    _, pivots = rref_mod_p(rows, p)
+    clears them first, and a 1 appended to each vector keeps it nonzero.
+    The pivot columns are the keys of any echelon basis of the rows."""
+    pivots = sorted(k.bit_length() - 1 if p == 2 else k
+                    for k in _echelon([_pack(r, p) for r in rows], p, ncols))
     order = pivots + [c for c in range(ncols) if c not in pivots]
     basis = _echelon([_pack([r[c] for c in order] + [0], p) for r in rows], p, ncols + 1)
     null: list = []
@@ -233,23 +202,6 @@ def _unpack(row, start: int, n: int, p: int) -> list[int]:
     if p in _LANES:
         return list((row >> 8 * start & (1 << 8 * n) - 1).to_bytes(n, "little"))
     return row[start:start + n]
-
-
-def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:
-    """One solution of M x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref_mod_p(aug, p)
-    x = [0] * ncols
-    for r, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = r[-1]
-    # verify, since free columns were set to zero
-    for row, b in zip(rows, rhs):
-        if sum(a * v for a, v in zip(row, x)) % p != b % p:
-            return None
-    return x
 
 
 class FpSpan:

@@ -17,7 +17,7 @@ from hermcodes import ConstructionParams, build, equivalence, linalg
 from hermcodes.cli import _run_check
 from hermcodes.hermitian import HermMatrix, poly_from_vector, poly_vector
 from hermcodes.equivalence import _flat, _scalar_matrix, _solve_algebra, fp_matrix_of_poly
-from hermcodes.linalg import nullspace_mod_p, rank_mod_p, rref_mod_p
+from hermcodes.linalg import nullspace_mod_p, rank_mod_p
 from hermcodes.scheme import DEFAULT_BUDGET
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -337,18 +337,7 @@ def test_zero_code_idealisers_are_not_fields(tower_q3):
 
 
 # -- the systems as equation rows, an oracle for the column builds ---------------
-
-
-def _row_nullspace(rows, ncols, p):
-    """The reduced nullspace basis from the RREF of the rows, at any shape."""
-    red, pivots = rref_mod_p(rows, p)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [int(c == fc) for c in range(ncols)]
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc] % p
-        basis.append(v)
-    return basis
+# (solved by `nullspace_mod_p`, which test_linalg pins to a column sweep)
 
 
 def _kernel_by_rows(code):
@@ -370,7 +359,7 @@ def _kernel_by_rows(code):
         return ([v[r * m:(r + 1) * m] for r in range(m)],
                 [v[m * m + r * m: m * m + (r + 1) * m] for r in range(m)])
 
-    basis = _row_nullspace(rows, nvars, p)
+    basis = nullspace_mod_p(rows, nvars, p)
     span, sol = _solve_algebra(t, basis, pair_of)
     contains_scalars = all(span.contains(_flat((_scalar_matrix(t, beta),) * 2))
                            for beta in t.basis_over_prime(2))
@@ -384,13 +373,13 @@ def _idealiser_by_rows(code, side):
     t = code.tower
     p = t.p
     width = t.n * t.m
-    checks = _row_nullspace([poly_vector(g) for g in code.generators], width, p)
+    checks = nullspace_mod_p([poly_vector(g) for g in code.generators], width, p)
     units = [poly_from_vector(t, [int(i == j) for i in range(width)]) for j in range(width)]
     rows = []
     for g in code.generators:
         images = [poly_vector(u.compose(g) if side == "left" else g.compose(u)) for u in units]
         rows += [[sum(map(operator.mul, w, img)) % p for img in images] for w in checks]
-    basis = _row_nullspace(rows, width, p)
+    basis = nullspace_mod_p(rows, width, p)
     span, sol = _solve_algebra(t, basis, lambda v: (fp_matrix_of_poly(poly_from_vector(t, v)),))
     scalars = t.basis_over_prime(1)
     is_scalar_fq = span.dim == len(scalars) and all(

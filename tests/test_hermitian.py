@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from hermcodes import (HermCode, LinPoly, bilinear_b, code_from_dict,
-                       code_from_matrix_set, code_to_dict, dual_code,
+from hermcodes import (ConstructionParams, HermCode, LinPoly, bilinear_b, build,
+                       code_from_dict, code_from_matrix_set, code_to_dict, dual_code,
                        from_free_coeffs, full_space, gram_matrix,
-                       hermitian_basis, is_hermitian,
+                       hermitian_basis, is_hermitian, make_tower,
                        matrix_code_rank_distribution, poly_from_gram,
                        trace_poly)
 from hermcodes.hermitian import (HermMatrix, hermitian_matrix_basis, index_pairs,
@@ -147,8 +147,10 @@ def test_gram_zero_and_linear(tower_q2):
                                 for ra, rb in zip(ga.rows, gb.rows))
 
 
-def test_poly_from_gram_round_trip(tower_q3):
-    t = tower_q3
+# bit rows (p = 2), byte lanes (p = 3), e = 2, and residue lists (p = 17)
+@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 2), (3, 1, 3), (3, 2, 2), (17, 1, 2)])
+def test_poly_from_gram_round_trip(p, e, n):
+    t = make_tower(p, e, n)
     rng = random.Random(2)
     basis = hermitian_basis(t)
     for _ in range(25):
@@ -156,6 +158,20 @@ def test_poly_from_gram_round_trip(tower_q3):
         for h in rng.sample(basis, 4):
             f = f + h.scale(rng.randrange(1, t.p))
         assert poly_from_gram(t, gram_matrix(f)) == f
+    # a matrix that is not conjugate-symmetric, past HermMatrix's validation
+    rows = [[0] * n for _ in range(n)]
+    rows[0][1] = 1
+    skew = object.__new__(HermMatrix)
+    skew.tower, skew.rows = t, tuple(map(tuple, rows))
+    with pytest.raises(ValueError, match="not in the image"):
+        poly_from_gram(t, skew)
+
+
+def test_m_code_file_round_trip_at_q17():
+    code = build(ConstructionParams(family="M", q=17, n=2))
+    back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+    assert back.model == "matrix"
+    assert back.matrix_generators == code.matrix_generators
 
 
 def test_herm_matrix_validation(tower_q2):

@@ -7,8 +7,8 @@ import pytest
 from hermcodes import make_tower
 from hermcodes.linalg import (FpSpan, PackedMap, gram_rank, gram_word, line_walk,
                              nullity_of_code_columns, nullspace_mod_p, nullspace_of_columns,
-                             q2_tables, rank_mod_p, rank_subfield_matrix, rref_mod_p,
-                             residues_mod_span, solve_mod_p, span_walk, vector_add)
+                             q2_tables, rank_mod_p, rank_subfield_matrix, residues_mod_span,
+                             span_walk, vector_add)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -62,8 +62,7 @@ def test_line_walk_yields_one_state_per_line(p, k):
 
 
 def test_mod_p_elimination_properties():
-    # the rank agrees with the RREF, every nullspace
-    # vector solves the system, and solve_mod_p's answer checks out
+    # rank plus nullity is the width, and every nullspace vector solves the system
     rng = random.Random(4)
     for _ in range(400):
         p = rng.choice([2, 3, 5, 7])
@@ -71,27 +70,11 @@ def test_mod_p_elimination_properties():
         dens = rng.random()
         rows = [[rng.randrange(-p, 2 * p) if rng.random() < dens else 0 for _ in range(nc)]
                 for _ in range(nr)]
-        red, pivots = rref_mod_p(rows, p)
         rank = rank_mod_p(rows, p)
-        assert rank == len(red) == len(pivots)
-        for r, pc in zip(red, pivots):
-            assert all(0 <= v < p for v in r) and r[pc] == 1
-            assert not any(r[:pc])
-            assert all(other[pc] == 0 for other in red if other is not r)
         basis = nullspace_mod_p(rows, nc, p)
         assert len(basis) == nc - rank
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
-        x = [rng.randrange(p) for _ in range(nc)]
-        consistent = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        for rhs in (consistent, [rng.randrange(p) for _ in rows]):
-            sol = solve_mod_p(rows, rhs, p)
-            if sol is not None:
-                assert all(sum(a * v for a, v in zip(row, sol)) % p == b % p
-                           for row, b in zip(rows, rhs))
-            else:
-                assert rhs is not consistent
-                assert rank_mod_p([row + [b] for row, b in zip(rows, rhs)], p) == rank + 1
 
 
 @pytest.mark.parametrize("p, rows, rank", [
@@ -100,7 +83,7 @@ def test_mod_p_elimination_properties():
     (2, [[1, 1], [1, 1], [0, 1]], 2),
 ])
 def test_rank_mod_p_cases(p, rows, rank):
-    assert rank_mod_p(rows, p) == rank == len(rref_mod_p(rows, p)[0])
+    assert rank_mod_p(rows, p) == rank
 
 
 @pytest.mark.parametrize("rows", [[], [[0, 0, 0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]]])
@@ -156,17 +139,6 @@ def _oracle_nullspace(rows, ncols, p):
     return basis
 
 
-def _oracle_solve(rows, rhs, p):
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = _oracle_rref([list(r) + [b] for r, b in zip(rows, rhs)], p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in zip(red, pivots):
-        x[pc] = r[-1]
-    return x
-
-
 def _seeded_system(rng, p, nr, nc, rank):
     """nr x nc rows of the given rank at most (combinations of `rank` random
     rows), with entries spread over [-p, 2p) so that reduction mod p shows."""
@@ -197,17 +169,10 @@ ROW_FORMAT_PRIMES = [2, 3, 5, 7, 11, 13, 17]
 
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
 def test_elimination_matches_column_sweep_oracle(p):
-    rng = random.Random(p)
     for rows in _systems(p):
         nc = len(rows[0]) if rows else 4
-        red, pivots = _oracle_rref(rows, p)
-        assert rref_mod_p(rows, p) == (red, pivots)
-        assert rank_mod_p(rows, p) == len(red)
+        assert rank_mod_p(rows, p) == len(_oracle_rref(rows, p)[0])
         assert nullspace_mod_p(rows, nc, p) == _oracle_nullspace(rows, nc, p)
-        x = [rng.randrange(p) for _ in range(nc)]
-        consistent = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        for rhs in (consistent, [rng.randrange(-p, 2 * p) for _ in rows]):
-            assert solve_mod_p(rows, rhs, p) == _oracle_solve(rows, rhs, p)
 
 
 def _shaped_systems(p):
