@@ -3,7 +3,7 @@
 battery over it, emitting one consolidated JSON report.
 
 Usage:
-    python scripts/reproduce_report.py [--out report.json] [--timings]
+    python scripts/reproduce_report.py [--out report.json] [--budget N] [--timings]
 """
 
 import argparse

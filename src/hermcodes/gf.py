@@ -92,7 +92,7 @@ def _factorize(v: int) -> dict[int, int]:
 def pack_lanes(values: Iterable[int]) -> int:
     """Integers in [0, 256) as one integer with a byte lane each, the first
     in the lowest byte: the format of `_LaneRing` residues and of the
-    F_p rows of `linalg` at 3 <= p <= 13."""
+    F_p rows of `linalg` at 2 <= p <= 13."""
     return int.from_bytes(bytes(values), "little")
 
 

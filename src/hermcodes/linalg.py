@@ -5,12 +5,11 @@ vectors into an echelon basis and drops every vector that reduces to zero,
 so a dependent row costs one reduction and is never touched again.  The
 row format is picked from p:
 
-* p = 2: a row is a Python int, bit i entry i, and a row operation is one XOR;
-* 3 <= p <= 13: a row is a Python int with one byte lane per entry, entry i
+* 2 <= p <= 13: a row is a Python int with one byte lane per entry, entry i
   in byte i (`gf.pack_lanes`), and a row operation is one integer
-  multiply-add v + c * row, c in [0, p), and one `bytes.translate` mod p.
-  No lane carries, since (p - 1) + (p - 1)^2 <= 156 < 256, which fails
-  from p = 17 on;
+  multiply-add v + c * row, c in [0, p), and one `bytes.translate` mod p;
+  at p = 2 it is one XOR, the sum mod 2 of 0/1 lanes.  No lane carries,
+  since (p - 1) + (p - 1)^2 <= 156 < 256, which fails from p = 17 on;
 * p >= 17: a row is a list of residues.
 
 Ranks, null spaces, pivot columns, residues modulo a row space
@@ -47,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .gf import FieldTower, lane_mod_table, pack_lanes
 
 # the primes whose rows are byte lanes: (p - 1) + (p - 1)^2 <= 255
-_LANES = range(3, 14)
+_LANES = range(2, 14)
 
 
 def _mod_lanes(x: int, width: int, p: int) -> int:
@@ -69,12 +68,12 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None,
 
     Each row is reduced at the pivot of its lowest nonzero entry, while
     the basis has a row there, and joins the basis when it has none.
-    At p = 2 the basis maps the lowest set bit of each row to the row.  On
-    byte lanes it maps each pivot column pc to (row, c), the row as it
-    joined (zero left of pc) and c = `_clearing(p)` at its entry g at pc,
-    so it is never normalised.  For residue lists, which are consumed, it
-    maps pc to row[pc:] of a row that is 1 at pc, zero left of it and zero
-    at the pivots of the rows before it (insertion order).
+    On byte lanes the basis maps each pivot column pc to (row, c), the row
+    as it joined (zero left of pc) and c = `_clearing(p)` at its entry g at
+    pc, so it is never normalised; at p = 2 g = 1, and the row is XORed in.
+    For residue lists, which are consumed, it maps pc to row[pc:] of a row
+    that is 1 at pc, zero left of it and zero at the pivots of the rows
+    before it (insertion order).
 
     Given a list `null`, entries from `height` on are never pivots: a row
     whose first `height` entries reduce to zero is appended to it as it is.
@@ -83,19 +82,6 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None,
         basis = {}
     if height is None:
         height = width
-    if p == 2:
-        for v in vecs:
-            while v:
-                low = v & -v
-                if low in basis:
-                    v ^= basis[low]
-                elif low >> height:
-                    null.append(v)
-                    break
-                else:
-                    basis[low] = v
-                    break
-        return basis
     if p in _LANES:
         table, clearing = lane_mod_table(p), _clearing(p)
         for v in vecs:
@@ -109,8 +95,11 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None,
                         basis[shift >> 3] = (v, clearing[v >> shift & 255])
                     break
                 row, c = entry
-                v = int.from_bytes((v + c[v >> shift & 255] * row)
-                                   .to_bytes(width, "little").translate(table), "little")
+                if p == 2:
+                    v ^= row
+                else:
+                    v = int.from_bytes((v + c[v >> shift & 255] * row)
+                                       .to_bytes(width, "little").translate(table), "little")
         return basis
     for v in vecs:
         for pc, row in basis.items():
@@ -130,8 +119,6 @@ def _echelon(vecs: Iterable, p: int, width: int, basis: dict | None = None,
 
 def _pack(vec: Sequence[int], p: int):
     """A row in `_echelon`'s format for p."""
-    if p == 2:
-        return int("".join("1" if a & 1 else "0" for a in reversed(vec)) or "0", 2)
     if p in _LANES:
         return pack_lanes(a % p for a in vec)
     return [a % p for a in vec]
@@ -160,16 +147,12 @@ def nullspace_of_columns(cols: Sequence[Sequence[int]], height: int, p: int,
     column, since only pivot columns join the basis."""
     packed = [_pack(c, p) for c in cols]
     if shifted is not None:
-        if p == 2:
-            packed = [packed[i] << s for i, s in shifted]
-        elif p in _LANES:
+        if p in _LANES:
             packed = [packed[i] << 8 * s for i, s in shifted]
         else:
             packed = [[0] * s + packed[i][:height - s] for i, s in shifted]
     n = len(packed)
-    if p == 2:
-        tagged = (c | 1 << height + j for j, c in enumerate(packed))
-    elif p in _LANES:
+    if p in _LANES:
         tagged = (c | 1 << 8 * (height + j) for j, c in enumerate(packed))
     else:
         tagged = (c + [int(i == j) for i in range(n)] for j, c in enumerate(packed))
@@ -185,8 +168,7 @@ def residues_mod_span(rows: Sequence[Sequence[int]], vecs: Iterable[Sequence[int
     rows clear its pivot columns.  Pivot columns go first, so `_echelon`
     clears them first, and a 1 appended to each vector keeps it nonzero.
     The pivot columns are the keys of any echelon basis of the rows."""
-    pivots = sorted(k.bit_length() - 1 if p == 2 else k
-                    for k in _echelon([_pack(r, p) for r in rows], p, ncols))
+    pivots = sorted(_echelon([_pack(r, p) for r in rows], p, ncols))
     order = pivots + [c for c in range(ncols) if c not in pivots]
     basis = _echelon([_pack([r[c] for c in order] + [0], p) for r in rows], p, ncols + 1)
     null: list = []
@@ -197,8 +179,6 @@ def residues_mod_span(rows: Sequence[Sequence[int]], vecs: Iterable[Sequence[int
 
 def _unpack(row, start: int, n: int, p: int) -> list[int]:
     """Entries start .. start + n - 1 of a row of `_echelon`'s format."""
-    if p == 2:
-        return [row >> start + j & 1 for j in range(n)]
     if p in _LANES:
         return list((row >> 8 * start & (1 << 8 * n) - 1).to_bytes(n, "little"))
     return row[start:start + n]
@@ -240,9 +220,9 @@ class PackedMap:
 
     Each column is packed once per block, all rows side by side in one row
     of `_echelon`'s format, so an image costs one multiply-add per nonzero
-    coefficient (one XOR at p = 2).  Byte lanes are reduced mod p only when
-    the next multiply-add could carry one past 255: after every 63 at p = 3,
-    every one at p = 13.
+    coefficient.  Byte lanes are reduced mod p only when the next
+    multiply-add could carry one past 255: after every 254 at p = 2, every
+    63 at p = 3, every one at p = 13.
     """
 
     def __init__(self, cols: Sequence[Sequence[Sequence[int]]], p: int, width: int,
@@ -269,13 +249,7 @@ class PackedMap:
         size = self.rows * stride
         terms = [(c, col) for block, cs in zip(self._cols, coeffs)
                  for c, col in zip(cs, block) if c]
-        if p == 2:
-            acc = 0
-            for _, col in terms:
-                acc ^= col
-            mask = (1 << stride) - 1
-            rows = [acc >> r * stride & mask for r in range(self.rows)]
-        elif p in _LANES:
+        if p in _LANES:
             acc, limit = 0, self._limit
             for k, (c, col) in enumerate(terms):
                 if k and not k % limit:
@@ -429,12 +403,10 @@ def nullity_of_code_columns(tower: FieldTower, columns: Sequence[int]) -> int:
 
     Column t is the digit vector of `columns[t]`; this is the matrix of an
     additive map taken in the ambient power basis.  Its rank is that of the
-    transpose, whose rows are the digit vectors: at p = 2 the codes
-    themselves.
+    transpose, whose rows are the digit vectors.
     """
     p = tower.p
-    vecs = columns if p == 2 else [_pack(tower.digits(c), p) for c in columns]
-    return len(columns) - len(_echelon(vecs, p, tower.m))
+    return len(columns) - len(_echelon([_pack(tower.digits(c), p) for c in columns], p, tower.m))
 
 
 def rank_subfield_matrix(tower: FieldTower, rows: Sequence[Sequence[int]]) -> int:

@@ -147,7 +147,7 @@ def test_gram_zero_and_linear(tower_q2):
                                 for ra, rb in zip(ga.rows, gb.rows))
 
 
-# bit rows (p = 2), byte lanes (p = 3), e = 2, and residue lists (p = 17)
+# byte lanes with XOR (p = 2) and multiply-add (p = 3), e = 2, and residue lists (p = 17)
 @pytest.mark.parametrize("p, e, n", [(2, 1, 3), (2, 2, 2), (3, 1, 3), (3, 2, 2), (17, 1, 2)])
 def test_poly_from_gram_round_trip(p, e, n):
     t = make_tower(p, e, n)

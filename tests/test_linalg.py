@@ -162,8 +162,8 @@ def _systems(p):
     return out
 
 
-# p = 2 runs on bit rows, 3 <= p <= 13 on byte lanes (11 and 13 at the top of
-# the lane bound), p = 17 on residue lists
+# 2 <= p <= 13 runs on byte lanes (p = 2 with XOR row operations, 11 and 13
+# at the top of the lane bound), p = 17 on residue lists
 ROW_FORMAT_PRIMES = [2, 3, 5, 7, 11, 13, 17]
 
 
@@ -271,9 +271,11 @@ def test_fp_span_matches_oracle_ranks(p):
 @pytest.mark.parametrize("p", ROW_FORMAT_PRIMES)
 def test_packed_map_images_match_their_combinations(p):
     # block b of row r is sum_i coeffs[b][i] * cols[i][r]; the all-(p-1) case
-    # pushes every lane as far as it goes, past 255 unless it is reduced in time
+    # pushes every lane as far as it goes, past 255 unless it is reduced in
+    # time, and 300 columns pass every prime's reduction interval (254 at p = 2)
     rng = random.Random(700 + p)
-    cases = [(0, 2, 1, 3), (1, 2, 1, 1), (3, 2, 2, 40), (2, 4, 3, 5), (3, 1, 1, 70)]
+    cases = [(0, 2, 1, 3), (1, 2, 1, 1), (3, 2, 2, 40), (2, 4, 3, 5), (3, 1, 1, 70),
+             (2, 1, 1, 300)]
     for rows, width, blocks, ncols in cases:
         for fill in ("random", "top"):
             if fill == "top":
